@@ -31,7 +31,7 @@ from .compare import (
 from .errors import PowerTraceError
 from .ingest import CalibrationConfig, manifest_path_for, write_capture
 from .ingest import read_capture as _read_capture
-from .model import RAIL_ORDER, MachineState, PowerSeries, RailKind
+from .model import RAIL_ORDER, CaptureRun, MachineState, PowerSeries, RailKind, to_wire
 from .power import compute_power
 from .segment import MarkerParams, detect_markers, segment_events
 from .synth import generate_ensemble, ground_truth_to_json, load_scenario
@@ -50,14 +50,18 @@ def _write_json(path: Path, payload: dict, stamp: bool) -> None:
     if stamp:
         payload = dict(payload)
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise PowerTraceError(f"{path}: refusing to write a non-finite number ({exc})") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    path.write_text(text + "\n", encoding="ascii")
 
 
 def _marker_params(args: argparse.Namespace) -> MarkerParams:
     try:
-        rail = RailKind.from_wire(args.marker_rail)
-    except KeyError:
+        rail = RailKind(args.marker_rail)
+    except ValueError:
         raise PowerTraceError(
             f"unknown marker rail '{args.marker_rail}' "
             f"(choose from {', '.join(r.wire_name for r in RAIL_ORDER)})"
@@ -121,30 +125,37 @@ def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
                        help="rolling window for spike statistics in seconds (default: 1.0)")
 
 
-class _AnalyzedRun:
-    """One ingested capture with its power series, markers, and segments."""
+class AnalyzedRun:
+    """A capture run with its power series, markers, and segments.
 
-    def __init__(self, sample_path: Path, marker_params: MarkerParams):
-        self.sample_path = sample_path
-        self.run = _read_capture(sample_path, manifest_path_for(sample_path))
+    The one power -> markers -> segments -> pool pipeline. It stays in
+    this module because perfbench's traced run wraps each stage function
+    at this module's globals.
+    """
+
+    def __init__(self, run: CaptureRun, marker_params: MarkerParams):
+        self.run = run
         self.powers: dict[RailKind, PowerSeries] = {
-            rail: compute_power(trace) for rail, trace in self.run.rails.items()
+            rail: compute_power(trace) for rail, trace in run.rails.items()
         }
-        self.sample_period = self.run.rails[RAIL_ORDER[0]].sample_period
-        marker_series = self.powers[marker_params.marker_rail]
+        self.sample_period = run.rails[RAIL_ORDER[0]].sample_period
         self.markers = detect_markers(
-            marker_series,
+            self.powers[marker_params.marker_rail],
             marker_params,
-            expected_count=self.run.schedule.expected_marker_count,
+            expected_count=run.schedule.expected_marker_count,
         )
-        self.segments = segment_events(self.run, self.markers)
+        self.segments = segment_events(run, self.markers)
 
     def pool(self) -> SegmentPool:
         power_by_rail = {rail: series.power for rail, series in self.powers.items()}
         return segment_power_pool(power_by_rail, self.segments)
 
 
-def _analysis_payload(analyzed: _AnalyzedRun) -> dict:
+def _analyze(sample_path: Path, marker_params: MarkerParams) -> AnalyzedRun:
+    return AnalyzedRun(_read_capture(sample_path, manifest_path_for(sample_path)), marker_params)
+
+
+def _analysis_payload(analyzed: AnalyzedRun) -> dict:
     run = analyzed.run
     period = analyzed.sample_period
     segments = []
@@ -185,9 +196,8 @@ def _analysis_payload(analyzed: _AnalyzedRun) -> dict:
     }
 
 
-def _write_plot_files(analyzed: _AnalyzedRun, out_dir: Path) -> list[Path]:
+def _write_plot_files(analyzed: AnalyzedRun, out_dir: Path, stem: str) -> list[Path]:
     period = analyzed.sample_period
-    stem = analyzed.sample_path.stem
     paths = []
     for rail in RAIL_ORDER:
         power = analyzed.powers[rail].power
@@ -201,31 +211,13 @@ def _write_plot_files(analyzed: _AnalyzedRun, out_dir: Path) -> list[Path]:
     return paths
 
 
-def _report_to_json(report: ComparisonReport) -> dict:
-    return {
-        "kind": report.kind.wire_name,
-        "rail": report.rail.wire_name,
-        "baseline_median_w": float(report.baseline_median_w),
-        "suspect_median_w": float(report.suspect_median_w),
-        "delta_w": float(report.delta_w),
-        "relative_increase": (
-            None if report.relative_increase is None else float(report.relative_increase)
-        ),
-        "lag_s": float(report.lag_s),
-        "lag_samples": int(report.lag_samples),
-        "lag_zero_variance": bool(report.lag_zero_variance),
-        "baseline_spikes": int(report.baseline_spikes),
-        "suspect_spikes": int(report.suspect_spikes),
-        "verdict": report.verdict.value,
-        "noisy": bool(report.noisy),
-    }
-
-
 def _report_from_json(obj: dict, source: str) -> ComparisonReport:
     try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected an object, got {obj!r}")
         return ComparisonReport(
-            kind=ComparisonKind.from_wire(obj["kind"]),
-            rail=RailKind.from_wire(obj["rail"]),
+            kind=ComparisonKind(obj["kind"]),
+            rail=RailKind(obj["rail"]),
             baseline_median_w=float(obj["baseline_median_w"]),
             suspect_median_w=float(obj["suspect_median_w"]),
             delta_w=float(obj["delta_w"]),
@@ -241,7 +233,7 @@ def _report_from_json(obj: dict, source: str) -> ComparisonReport:
             verdict=Verdict(obj["verdict"]),
             noisy=bool(obj.get("noisy", False)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise PowerTraceError(f"{source}: malformed comparison report ({exc})") from None
 
 
@@ -283,12 +275,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for capture in args.captures:
         sample_path = Path(capture)
         try:
-            analyzed = _AnalyzedRun(sample_path, params)
+            analyzed = _analyze(sample_path, params)
             out_dir = Path(args.out) if args.out else sample_path.parent
             out_dir.mkdir(parents=True, exist_ok=True)
             report_path = out_dir / f"{sample_path.stem}.analysis.json"
             _write_json(report_path, _analysis_payload(analyzed), stamp=args.stamp)
-            plot_paths = _write_plot_files(analyzed, out_dir)
+            plot_paths = _write_plot_files(analyzed, out_dir, sample_path.stem)
             _note(f"analyzed {sample_path}: {len(analyzed.markers)} markers, "
                   f"{len(analyzed.segments)} segments -> {report_path.name}, "
                   f"{len(plot_paths)} plot files")
@@ -324,35 +316,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     dataset_reports: list[list[ComparisonReport]] = []
     report_payloads: list[tuple[Path, dict]] = []
     for i, pre_path in enumerate(pre_paths):
-        pre = _AnalyzedRun(pre_path, marker_params)
-        if post_paths[i] == pre_path:
-            post = pre
-        else:
-            post = _AnalyzedRun(post_paths[i], marker_params)
+        pre = _analyze(pre_path, marker_params)
+        post = pre if post_paths[i] == pre_path else _analyze(post_paths[i], marker_params)
         post_pool = post.pool()
         if reboot_paths is not None:
-            reboot = _AnalyzedRun(reboot_paths[i], marker_params)
+            reboot = _analyze(reboot_paths[i], marker_params)
             post_pool = _merge_reboot_pool(post_pool, reboot.pool())
         reports = run_canonical_comparisons(
             pre.pool(), post_pool, compare_params, pre.sample_period
         )
         dataset_reports.append(reports)
 
-        out_dir = Path(args.out) if args.out else post.sample_path.parent
-        report_path = out_dir / f"{post.sample_path.stem}.comparison.json"
+        out_dir = Path(args.out) if args.out else post_paths[i].parent
+        report_path = out_dir / f"{post_paths[i].stem}.comparison.json"
         payload = {
             "pre_run_id": pre.run.run_id,
             "post_run_id": post.run.run_id,
             "dataset_index": post.run.dataset_index,
-            "params": {
-                "window": compare_params.window,
-                "rel_threshold": compare_params.rel_threshold,
-                "abs_threshold": compare_params.abs_threshold,
-                "max_lag": compare_params.max_lag,
-                "spike_k": compare_params.spike_k,
-                "spike_window": compare_params.spike_window,
-            },
-            "reports": [_report_to_json(r) for r in reports],
+            "params": to_wire(compare_params),
+            "reports": to_wire(reports),
         }
         report_payloads.append((report_path, payload))
 
@@ -375,7 +357,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             obj = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             return _fail(f"cannot read comparison report {path}: {exc}")
-        if "reports" not in obj or not isinstance(obj["reports"], list):
+        if not isinstance(obj, dict) or not isinstance(obj.get("reports"), list):
             return _fail(f"{path}: missing 'reports' list")
         dataset_reports.append(
             [_report_from_json(entry, str(path)) for entry in obj["reports"]]

@@ -38,13 +38,6 @@ class ComparisonKind(Enum):
     def wire_name(self) -> str:
         return self.value
 
-    @classmethod
-    def from_wire(cls, name: str) -> "ComparisonKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise KeyError(name)
-
 
 # (baseline (state, event), suspect (state, event)) per comparison kind.
 # The post-infection BOOT entry is the reboot right after installation.
@@ -201,19 +194,13 @@ def _rolling_median_mad(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndar
     mad = np.empty(n)
     left = (w - 1) // 2
     right = w // 2
-    if n >= w:
-        views = np.lib.stride_tricks.sliding_window_view(x, w)
-        med_full = np.median(views, axis=1)
-        mad_full = np.median(np.abs(views - med_full[:, None]), axis=1)
-        med[left : n - right] = med_full
-        mad[left : n - right] = mad_full
+    views = np.lib.stride_tricks.sliding_window_view(x, w)
+    med_full = np.median(views, axis=1)
+    mad_full = np.median(np.abs(views - med_full[:, None]), axis=1)
+    med[left : n - right] = med_full
+    mad[left : n - right] = mad_full
     # Shrinking windows at the edges keep every index defined.
-    for i in range(left):
-        chunk = x[max(0, i - left) : i + right + 1]
-        m = np.median(chunk)
-        med[i] = m
-        mad[i] = np.median(np.abs(chunk - m))
-    for i in range(n - right, n):
+    for i in (*range(left), *range(n - right, n)):
         chunk = x[max(0, i - left) : i + right + 1]
         m = np.median(chunk)
         med[i] = m
@@ -389,7 +376,6 @@ def aggregate(dataset_reports: list[list[ComparisonReport]]) -> AggregateReport:
         raise AggregationError("need at least one dataset")
     coverage: set[tuple[RailKind, ComparisonKind]] | None = None
     tallies: dict[tuple[RailKind, ComparisonKind], int] = {}
-    order: list[tuple[RailKind, ComparisonKind]] = []
     for d, reports in enumerate(dataset_reports):
         seen: set[tuple[RailKind, ComparisonKind]] = set()
         for report in reports:
@@ -402,11 +388,7 @@ def aggregate(dataset_reports: list[list[ComparisonReport]]) -> AggregateReport:
                     f"{report.kind.wire_name})"
                 )
             seen.add(key)
-            if key not in tallies:
-                tallies[key] = 0
-                order.append(key)
-            if report.verdict is Verdict.INCREMENT:
-                tallies[key] += 1
+            tallies[key] = tallies.get(key, 0) + (report.verdict is Verdict.INCREMENT)
         if coverage is None:
             coverage = seen
         elif seen != coverage:
@@ -416,7 +398,7 @@ def aggregate(dataset_reports: list[list[ComparisonReport]]) -> AggregateReport:
             )
     n = len(dataset_reports)
     cells = tuple(
-        AggregateCell(rail=rail, kind=kind, n_datasets=n, n_increment=tallies[(rail, kind)])
-        for rail, kind in order
+        AggregateCell(rail=rail, kind=kind, n_datasets=n, n_increment=count)
+        for (rail, kind), count in tallies.items()
     )
     return AggregateReport(cells=cells)

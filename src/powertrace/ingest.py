@@ -24,12 +24,13 @@ import numpy as np
 from .errors import AdcRangeError, CaptureFormatError, ManifestError, TimingError
 from .model import (
     RAIL_ORDER,
+    STATE_BY_WIRE,
     CaptureRun,
     EventKind,
-    MachineState,
     RailKind,
     RailTrace,
     RunSchedule,
+    to_wire,
     validate_run,
 )
 
@@ -42,12 +43,9 @@ DEFAULT_VOLTAGE_SCALE = 2.0
 DEFAULT_CURRENT_SCALE = 1.0
 
 
-def _default_voltage_scales() -> dict[RailKind, float]:
-    return {rail: DEFAULT_VOLTAGE_SCALE for rail in RAIL_ORDER}
-
-
-def _default_current_scales() -> dict[RailKind, float]:
-    return {rail: DEFAULT_CURRENT_SCALE for rail in RAIL_ORDER}
+def _per_rail(value: float):
+    """Default factory for a table holding *value* on every rail."""
+    return lambda: dict.fromkeys(RAIL_ORDER, value)
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,8 @@ class CalibrationConfig:
     [-adc_full_scale, +adc_full_scale] with adc_bits of precision.
     """
 
-    voltage_scale: dict[RailKind, float] = field(default_factory=_default_voltage_scales)
-    current_scale: dict[RailKind, float] = field(default_factory=_default_current_scales)
+    voltage_scale: dict[RailKind, float] = field(default_factory=_per_rail(DEFAULT_VOLTAGE_SCALE))
+    current_scale: dict[RailKind, float] = field(default_factory=_per_rail(DEFAULT_CURRENT_SCALE))
     adc_bits: int = 16
     adc_full_scale: float = 10.0
 
@@ -94,24 +92,20 @@ def quantize(value, cal: CalibrationConfig):
     input range.
     """
     raw = np.asarray(value, dtype=np.float64)
-    if np.any(np.abs(raw) > cal.adc_full_scale):
-        offender = float(raw.flat[int(np.argmax(np.abs(raw)))])
-        raise AdcRangeError(
-            f"value {offender} outside ADC range [-{cal.adc_full_scale}, {cal.adc_full_scale}]"
-        )
+    _check_adc_range(raw, cal)
     out = _quantize_array(raw, cal.lsb)
     if np.isscalar(value) or np.ndim(value) == 0:
         return float(out)
     return out
 
 
-def _check_adc_range(raw: np.ndarray, cal: CalibrationConfig, rail: RailKind, channel: str) -> None:
+def _check_adc_range(raw: np.ndarray, cal: CalibrationConfig, where: str = "") -> None:
     over = np.abs(raw) > cal.adc_full_scale
     if np.any(over):
         row = int(np.argmax(over))
         raise AdcRangeError(
-            f"rail {rail.wire_name} {channel} channel: row {row} raw value "
-            f"{float(raw[row])} outside ADC range [-{cal.adc_full_scale}, {cal.adc_full_scale}]"
+            f"{where}row {row} raw value {float(raw.flat[row])} "
+            f"outside ADC range [-{cal.adc_full_scale}, {cal.adc_full_scale}]"
         )
 
 
@@ -132,13 +126,11 @@ def manifest_path_for(sample_file: str | Path) -> Path:
     return p.with_name(p.stem + ".manifest.json")
 
 
-def _calibration_to_json(cal: CalibrationConfig) -> dict:
-    return {
-        "adc_bits": cal.adc_bits,
-        "adc_full_scale": cal.adc_full_scale,
-        "voltage_scale": {rail.wire_name: cal.voltage_scale[rail] for rail in RAIL_ORDER},
-        "current_scale": {rail.wire_name: cal.current_scale[rail] for rail in RAIL_ORDER},
-    }
+def _convert(convert, value, context: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ManifestError(f"{context}: expected {convert.__name__}, got {value!r}") from None
 
 
 def _calibration_from_json(obj: dict) -> CalibrationConfig:
@@ -150,10 +142,10 @@ def _calibration_from_json(obj: dict) -> CalibrationConfig:
         per_rail: dict[RailKind, float] = {}
         for rail_name, value in obj[name].items():
             try:
-                rail = RailKind.from_wire(rail_name)
-            except KeyError:
+                rail = RailKind(rail_name)
+            except ValueError:
                 raise ManifestError(f"calibration {name}: unknown rail name '{rail_name}'") from None
-            per_rail[rail] = float(value)
+            per_rail[rail] = _convert(float, value, f"calibration {name}[{rail_name}]")
         for rail in RAIL_ORDER:
             if rail not in per_rail:
                 raise ManifestError(f"calibration {name}: missing rail {rail.wire_name}")
@@ -169,21 +161,20 @@ def _calibration_from_json(obj: dict) -> CalibrationConfig:
         raise ManifestError(f"invalid calibration: {exc}") from None
 
 
-def _schedule_from_json(entries: list, expected_marker_count) -> RunSchedule:
+def _schedule_from_json(entries: list) -> RunSchedule:
     parsed = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "state" not in entry or "event" not in entry:
             raise ManifestError(f"schedule entry {i} must be an object with 'state' and 'event'")
+        state = STATE_BY_WIRE.get(str(entry["state"]))
+        if state is None:
+            raise ManifestError(f"schedule entry {i}: unknown state '{entry['state']}'")
         try:
-            state = MachineState.from_wire(str(entry["state"]))
-        except KeyError:
-            raise ManifestError(f"schedule entry {i}: unknown state '{entry['state']}'") from None
-        try:
-            event = EventKind.from_wire(str(entry["event"]))
-        except KeyError:
+            event = EventKind(entry["event"])
+        except ValueError:
             raise ManifestError(f"schedule entry {i}: unknown event '{entry['event']}'") from None
         parsed.append((state, event))
-    return RunSchedule(entries=tuple(parsed), expected_marker_count=int(expected_marker_count))
+    return RunSchedule(entries=tuple(parsed))
 
 
 def write_capture(
@@ -209,8 +200,8 @@ def write_capture(
         trace = run.rails[rail]
         raw_v = trace.voltage / cal.voltage_scale[rail]
         raw_i = trace.current / cal.current_scale[rail]
-        _check_adc_range(raw_v, cal, rail, "voltage")
-        _check_adc_range(raw_i, cal, rail, "current")
+        _check_adc_range(raw_v, cal, f"rail {rail.wire_name} voltage channel: ")
+        _check_adc_range(raw_i, cal, f"rail {rail.wire_name} current channel: ")
         qv = _quantize_array(raw_v, lsb)
         qi = _quantize_array(raw_i, lsb)
         if units == "engineering":
@@ -242,7 +233,7 @@ def write_capture(
             for state, event in run.schedule.entries
         ],
         "expected_marker_count": run.schedule.expected_marker_count,
-        "calibration": _calibration_to_json(cal),
+        "calibration": to_wire(cal),
     }
     manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii"
@@ -290,6 +281,11 @@ def _parse_sample_file(sample_file: Path) -> np.ndarray:
         raise CaptureFormatError("malformed sample rows") from None
     if data.ndim != 2:
         raise CaptureFormatError("malformed sample rows")
+    if not np.isfinite(data).all():
+        r, c = np.argwhere(~np.isfinite(data))[0]
+        raise CaptureFormatError(
+            f"row {r}, column {_COLUMNS[c]}: non-finite value '{rows[r][c]}'"
+        )
     return data
 
 
@@ -331,8 +327,13 @@ def read_capture(
         raise ManifestError(f"units must be 'engineering' or 'raw', got '{units}'")
     if cal is None:
         cal = _calibration_from_json(manifest["calibration"])
-    schedule = _schedule_from_json(manifest["schedule"], manifest["expected_marker_count"])
-    sample_period = float(manifest["sample_period_s"])
+    schedule = _schedule_from_json(manifest["schedule"])
+    if manifest["expected_marker_count"] != schedule.expected_marker_count:
+        raise ManifestError(
+            f"expected_marker_count {manifest['expected_marker_count']} != "
+            f"2 x {len(schedule.entries)} schedule entries"
+        )
+    sample_period = _convert(float, manifest["sample_period_s"], "manifest sample_period_s")
     if not sample_period > 0:
         raise ManifestError(f"sample_period_s must be positive, got {sample_period}")
 
@@ -362,7 +363,7 @@ def read_capture(
     run = CaptureRun(
         run_id=str(manifest["run_id"]),
         rootkit_label=str(manifest["rootkit_label"]),
-        dataset_index=int(manifest["dataset_index"]),
+        dataset_index=_convert(int, manifest["dataset_index"], "manifest dataset_index"),
         rails=rails,
         schedule=schedule,
     )

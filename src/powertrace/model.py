@@ -7,7 +7,7 @@ violations as data so that malformed runs can be inspected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -27,13 +27,6 @@ class RailKind(Enum):
     def wire_name(self) -> str:
         """Short name used in CSV columns and manifest keys."""
         return self.value
-
-    @classmethod
-    def from_wire(cls, name: str) -> "RailKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise KeyError(name)
 
 
 # Canonical iteration order: CSV column order, report order, RNG draw order.
@@ -60,12 +53,9 @@ class MachineState(IntEnum):
     def wire_name(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_wire(cls, name: str) -> "MachineState":
-        for state in cls:
-            if state.wire_name == name:
-                return state
-        raise KeyError(name)
+
+# MachineState's values are its order, so its wire names need their own map.
+STATE_BY_WIRE: dict[str, MachineState] = {state.wire_name: state for state in MachineState}
 
 
 class EventKind(Enum):
@@ -83,12 +73,18 @@ class EventKind(Enum):
     def wire_name(self) -> str:
         return self.value
 
-    @classmethod
-    def from_wire(cls, name: str) -> "EventKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise KeyError(name)
+
+def to_wire(value):
+    """JSON-ready copy of a dataclass, dict or list; enums become wire names."""
+    if isinstance(value, Enum):
+        return getattr(value, "wire_name", value.value)
+    if is_dataclass(value):
+        return {f.name: to_wire(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {to_wire(k): to_wire(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [to_wire(v) for v in value]
+    return value
 
 
 def _as_readonly_f64(values) -> np.ndarray:
@@ -149,20 +145,17 @@ class PowerSeries:
 
 @dataclass(frozen=True)
 class RunSchedule:
-    """Ordered (state, event) script plus the marker count it implies.
-
-    Under the default pairing scheme every entry is delimited by one
-    (start, end) marker pair, so expected_marker_count is twice the entry
-    count; leave it None to get that default.
-    """
+    """Ordered (state, event) script plus the marker count it implies."""
 
     entries: tuple[tuple[MachineState, EventKind], ...]
-    expected_marker_count: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple((MachineState(s), EventKind(e)) for s, e in self.entries))
-        if self.expected_marker_count is None:
-            object.__setattr__(self, "expected_marker_count", 2 * len(self.entries))
+
+    @property
+    def expected_marker_count(self) -> int:
+        """One (start, end) marker pair delimits every entry."""
+        return 2 * len(self.entries)
 
     @classmethod
     def default(cls) -> "RunSchedule":
@@ -240,10 +233,5 @@ def validate_run(run: CaptureRun) -> list[str]:
             violations.append(f"schedule entries not ordered by machine state at position {i}")
     if not entries:
         violations.append("schedule has no entries")
-    if run.schedule.expected_marker_count != 2 * len(entries):
-        violations.append(
-            f"expected_marker_count {run.schedule.expected_marker_count} != "
-            f"2 x {len(entries)} schedule entries"
-        )
 
     return violations

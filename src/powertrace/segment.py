@@ -203,12 +203,6 @@ def segment_events(run: CaptureRun, markers: list[Marker]) -> list[EventSegment]
             f"expected {expected} markers, found {len(markers)}",
             found_count=len(markers),
         )
-    if expected != 2 * len(entries):
-        raise SegmentationError(
-            f"schedule expects {expected} markers for {len(entries)} entries; "
-            f"need exactly 2 per entry",
-            found_count=len(markers),
-        )
 
     segments: list[EventSegment] = []
     for k, (state, event) in enumerate(entries):

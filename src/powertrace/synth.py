@@ -124,6 +124,8 @@ class ScenarioConfig:
     infection: InfectionEffect = field(default_factory=InfectionEffect)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ScenarioConfigError(f"seed must be >= 0, got {self.seed}")
         for name in (
             "sample_period",
             "marker_duration",
@@ -347,61 +349,61 @@ def generate_ensemble(
 # JSON scenario files mirror the dataclass fields, with rails and events
 # keyed by their wire names. Unknown keys are rejected to catch typos.
 
-_SCENARIO_SCALARS = {
-    "seed",
-    "sample_period",
-    "rootkit_label",
-    "voltage_noise_sigma",
-    "marker_amplitude",
-    "marker_duration",
-    "gap_duration",
-    "idle_duration",
-    "ie_windows",
-    "ie_spacing",
-    "ie_step_power",
-    "boot_duration",
-    "boot_ramp_power",
-}
+# Field annotations are strings here (postponed evaluation of annotations).
+_SCALAR_TYPES = {"int": int, "float": float, "str": str}
 
-_INFECTION_KEYS = {"delta_power", "lag_s", "spike_rate_per_min", "spike_amplitude"}
+
+def _convert(convert, value, context: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ScenarioConfigError(f"{context}: expected {convert.__name__}, got {value!r}") from None
+
+
+def _scalar_fields(cls, obj: dict, context: str) -> dict:
+    """Converted values of the int, float and str fields of *cls* present in *obj*."""
+    return {
+        f.name: _convert(_SCALAR_TYPES[f.type], obj[f.name], f"{context}.{f.name}")
+        for f in dataclasses.fields(cls)
+        if f.type in _SCALAR_TYPES and f.name in obj
+    }
 
 
 def _rail_event_table(
     obj: dict, context: str, defaults: dict[RailKind, dict[EventKind, float]]
 ) -> dict[RailKind, dict[EventKind, float]]:
+    if not isinstance(obj, dict):
+        raise ScenarioConfigError(f"{context} must be an object")
     table = {rail: dict(events) for rail, events in defaults.items()}
     for rail_name, events in obj.items():
         try:
-            rail = RailKind.from_wire(rail_name)
-        except KeyError:
+            rail = RailKind(rail_name)
+        except ValueError:
             raise ScenarioConfigError(f"{context}: unknown rail '{rail_name}'") from None
         if not isinstance(events, dict):
             raise ScenarioConfigError(f"{context}[{rail_name}] must be an object")
         for event_name, value in events.items():
             try:
-                event = EventKind.from_wire(event_name)
-            except KeyError:
+                event = EventKind(event_name)
+            except ValueError:
                 raise ScenarioConfigError(
                     f"{context}[{rail_name}]: unknown event '{event_name}'"
                 ) from None
-            table[rail][event] = float(value)
+            table[rail][event] = _convert(float, value, f"{context}[{rail_name}][{event_name}]")
     return table
 
 
 def _infection_from_json(obj: dict, context: str = "infection") -> InfectionEffect:
     if not isinstance(obj, dict):
         raise ScenarioConfigError(f"{context} must be an object")
-    unknown = set(obj) - _INFECTION_KEYS
+    unknown = set(obj) - {f.name for f in dataclasses.fields(InfectionEffect)}
     if unknown:
         raise ScenarioConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    kwargs = {}
+    kwargs = _scalar_fields(InfectionEffect, obj, context)
     if "delta_power" in obj:
         kwargs["delta_power"] = _rail_event_table(
             obj["delta_power"], f"{context}.delta_power", _zero_deltas()
         )
-    for key in ("lag_s", "spike_rate_per_min", "spike_amplitude"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
     return InfectionEffect(**kwargs)
 
 
@@ -414,26 +416,14 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect 
     """
     if not isinstance(obj, dict):
         raise ScenarioConfigError("scenario must be a JSON object")
-    allowed = (
-        _SCENARIO_SCALARS
-        | {"baseline_power", "noise_sigma", "infection", "dataset_infections"}
-    )
+    allowed = {f.name for f in dataclasses.fields(ScenarioConfig)} | {"dataset_infections"}
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioConfigError(f"scenario: unknown keys {sorted(unknown)}")
     if "seed" not in obj:
         raise ScenarioConfigError("scenario must set 'seed'")
 
-    kwargs: dict = {}
-    for key in _SCENARIO_SCALARS & set(obj):
-        if key == "seed":
-            kwargs["seed"] = int(obj["seed"])
-        elif key == "ie_windows":
-            kwargs["ie_windows"] = int(obj["ie_windows"])
-        elif key == "rootkit_label":
-            kwargs["rootkit_label"] = str(obj["rootkit_label"])
-        else:
-            kwargs[key] = float(obj[key])
+    kwargs = _scalar_fields(ScenarioConfig, obj, "scenario")
     if "baseline_power" in obj:
         kwargs["baseline_power"] = _rail_event_table(
             obj["baseline_power"], "baseline_power", _default_baseline_power()
@@ -444,10 +434,10 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect 
             raise ScenarioConfigError("noise_sigma must be an object")
         for rail_name, value in obj["noise_sigma"].items():
             try:
-                rail = RailKind.from_wire(rail_name)
-            except KeyError:
+                rail = RailKind(rail_name)
+            except ValueError:
                 raise ScenarioConfigError(f"noise_sigma: unknown rail '{rail_name}'") from None
-            sigma[rail] = float(value)
+            sigma[rail] = _convert(float, value, f"noise_sigma[{rail_name}]")
         kwargs["noise_sigma"] = sigma
     if "infection" in obj:
         kwargs["infection"] = _infection_from_json(obj["infection"])

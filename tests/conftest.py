@@ -19,11 +19,8 @@ from powertrace import (
     RailKind,
     RailTrace,
     ScenarioConfig,
-    compute_power,
-    detect_markers,
-    segment_events,
-    segment_power_pool,
 )
+from powertrace.cli import AnalyzedRun
 from powertrace.compare import SegmentPool
 
 
@@ -58,15 +55,7 @@ def random_run(rng: np.random.Generator, n: int = 1500, run_id: str = "rand") ->
 
 def analyze_pool(run: CaptureRun, params: MarkerParams | None = None) -> SegmentPool:
     """Capture run -> (state, event, rail) power pool, via the full pipeline."""
-    if params is None:
-        params = MarkerParams()
-    powers = {rail: compute_power(trace) for rail, trace in run.rails.items()}
-    markers = detect_markers(
-        powers[params.marker_rail], params,
-        expected_count=run.schedule.expected_marker_count,
-    )
-    segments = segment_events(run, markers)
-    return segment_power_pool({r: p.power for r, p in powers.items()}, segments)
+    return AnalyzedRun(run, params or MarkerParams()).pool()
 
 
 FAST_COMPARE = CompareParams(max_lag=0.05)

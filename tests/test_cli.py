@@ -5,6 +5,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import compact_scenario, idle_delta
+from powertrace import (
+    CalibrationConfig,
+    EventKind,
+    InfectionEffect,
+    MachineState,
+    generate_run,
+    write_capture,
+)
 from powertrace.cli import main
 from powertrace.ingest import SAMPLE_HEADER
 
@@ -221,3 +230,103 @@ def test_bad_scenario_file_fails_cleanly(tmp_path, capsys):
 def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit):
         main([])
+
+
+def _one_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("powertrace: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [({"reports": [1, 2]}, "malformed comparison report"), (5, "missing 'reports' list")],
+)
+def test_aggregate_rejects_non_object_reports(tmp_path, capsys, payload, message):
+    path = tmp_path / "bad.comparison.json"
+    path.write_text(json.dumps(payload), encoding="ascii")
+    assert main(["aggregate", str(path), "--out", str(tmp_path)]) == 1
+    assert f"{path}: {message}" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"seed": "abc"}, "scenario.seed: expected int, got 'abc'"),
+        ({"seed": -3}, "seed must be >= 0, got -3"),
+        ({"seed": 1, "idle_duration": [2]}, "scenario.idle_duration: expected float"),
+        ({"seed": 1, "infection": {"lag_s": "x"}}, "infection.lag_s: expected float"),
+        ({"seed": 1, "noise_sigma": {"5v": "x"}}, "noise_sigma[5v]: expected float"),
+        ({"seed": 1, "baseline_power": 5}, "baseline_power must be an object"),
+    ],
+)
+def test_bad_scenario_value_fails_cleanly(tmp_path, capsys, scenario, message):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario), encoding="ascii")
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path)]) == 1
+    assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("dataset_index", "x"), ("sample_period_s", "x"), ("dataset_index", None)]
+)
+def test_bad_manifest_scalar_fails_cleanly(workdir, tmp_path, capsys, key, value):
+    sample = tmp_path / f"{STEM}.csv"
+    sample.write_bytes(workdir.sample.read_bytes())
+    manifest = json.loads((workdir.captures / f"{STEM}.manifest.json").read_text())
+    manifest[key] = value
+    (tmp_path / f"{STEM}.manifest.json").write_text(json.dumps(manifest))
+    assert main(["analyze", str(sample), "--out", str(tmp_path)]) == 1
+    assert f"manifest {key}: expected" in _one_error_line(capsys)
+
+
+@pytest.fixture
+def infected_capture(tmp_path):
+    """Compact capture with +2 W on 12v_mb idle after infection, plus its truth."""
+    effect = InfectionEffect(delta_power=idle_delta(2.0))
+    run, truth = generate_run(compact_scenario(5, infection=effect))
+    sample, _ = write_capture(run, CalibrationConfig(), tmp_path / "captures")
+    return sample, truth
+
+
+def _set_cells(sample, row: int, **cells: str) -> None:
+    lines = sample.read_text().splitlines()
+    fields = lines[row + 1].split(",")
+    for column, value in cells.items():
+        fields[SAMPLE_HEADER.split(",").index(column)] = value
+    lines[row + 1] = ",".join(fields)
+    sample.write_text("\n".join(lines) + "\n")
+
+
+def test_nan_in_suspect_segment_fails_instead_of_flipping_the_verdict(
+    infected_capture, tmp_path, capsys
+):
+    sample, truth = infected_capture
+    start, end = truth.events[(MachineState.POST_INFECTION, EventKind.IDLE)]
+    row = (start + end) // 2
+    _set_cells(sample, row, i_12v_mb="nan")
+    out = tmp_path / "out"
+    assert main(["compare", "--pre", str(sample), "--out", str(out), "--max-lag", "0.05"]) == 1
+    assert f"row {row}, column i_12v_mb: non-finite value 'nan'" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_nan_on_marker_rail_names_the_cell(infected_capture, tmp_path, capsys):
+    sample, truth = infected_capture
+    row = truth.markers[4][0] + 10
+    _set_cells(sample, row, i_12v_cpu="nan")
+    assert main(["analyze", str(sample), "--out", str(tmp_path / "out")]) == 1
+    message = _one_error_line(capsys)
+    assert f"row {row}, column i_12v_cpu: non-finite value 'nan'" in message
+    assert "markers" not in message
+
+
+def test_overflowing_power_is_not_written_as_infinity(infected_capture, tmp_path, capsys):
+    sample, truth = infected_capture
+    start, end = truth.events[(MachineState.POST_INFECTION, EventKind.IDLE)]
+    _set_cells(sample, (start + end) // 2, v_12v_mb="1e200", i_12v_mb="1e200")
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["analyze", str(sample), "--out", str(out)]) == 1
+    assert "non-finite" in _one_error_line(capsys)
+    assert not list(out.glob("*.analysis.json"))

@@ -1,0 +1,89 @@
+"""Golden outputs: the full command-line round trip on a fixed scenario.
+
+synth -> analyze -> compare -> aggregate runs on a compact infected
+scenario; every JSON output is parsed and compared exactly with the
+files in tests/golden/. A refactor must leave these outputs unchanged.
+A change that alters them on purpose regenerates the files with::
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names the fields that changed, and why, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from powertrace.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+SCENARIO = {
+    "seed": 31,
+    "rootkit_label": "golden",
+    "idle_duration": 10.0,
+    "ie_windows": 4,
+    "ie_spacing": 2.5,
+    "boot_duration": 8.0,
+    "infection": {
+        "delta_power": {"12v_mb": {"idle": 2.0}, "12v_cpu": {"open_browser": 1.5}},
+        "lag_s": 0.05,
+        "spike_rate_per_min": 6.0,
+    },
+    "dataset_infections": [None, {}],
+}
+
+STEMS = ("golden-d1-s31", "golden-d2-s31")
+
+
+def run_round_trip(root: Path) -> dict[str, object]:
+    """Run the four subcommands under *root*; map golden file name -> parsed JSON."""
+    config = root / "scenario.json"
+    config.write_text(json.dumps(SCENARIO), encoding="ascii")
+    captures, analysis, comparison, folded = (
+        root / "captures", root / "analysis", root / "comparison", root / "aggregate"
+    )
+    samples = [str(captures / f"{stem}.csv") for stem in STEMS]
+    commands = (
+        ["synth", "--config", str(config), "--out", str(captures), "--datasets", "2"],
+        ["analyze", *samples, "--out", str(analysis)],
+        ["compare", "--pre", samples[0], "--pre", samples[1],
+         "--out", str(comparison), "--max-lag", "0.05"],
+        ["aggregate", *(str(comparison / f"{stem}.comparison.json") for stem in STEMS),
+         "--out", str(folded)],
+    )
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+    files = {}
+    for stem in STEMS:
+        files[f"{stem}.truth.json"] = captures / f"{stem}.truth.json"
+        files[f"{stem}.manifest.json"] = captures / f"{stem}.manifest.json"
+        files[f"{stem}.analysis.json"] = analysis / f"{stem}.analysis.json"
+        files[f"{stem}.comparison.json"] = comparison / f"{stem}.comparison.json"
+    files["compare.aggregate.json"] = comparison / "aggregate.json"
+    files["aggregate.json"] = folded / "aggregate.json"
+    return {name: json.loads(path.read_text()) for name, path in files.items()}
+
+
+def test_round_trip_matches_golden_files(tmp_path):
+    outputs = run_round_trip(tmp_path)
+    assert sorted(p.name for p in GOLDEN_DIR.glob("*.json")) == sorted(outputs)
+    for name, produced in outputs.items():
+        expected = json.loads((GOLDEN_DIR / name).read_text())
+        assert produced == expected, f"{name} differs from tests/golden/{name}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = run_round_trip(Path(tmp))
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, payload in outputs.items():
+        (GOLDEN_DIR / name).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
+        )
+    print(f"wrote {len(outputs)} files to {GOLDEN_DIR}", file=sys.stderr)

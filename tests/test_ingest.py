@@ -233,6 +233,13 @@ def test_read_rejects_unknown_state(tmp_path):
         read_capture(sample_path, manifest_path)
 
 
+def test_read_rejects_marker_count_mismatch(tmp_path):
+    sample_path, manifest_path = _written_pair(tmp_path)
+    _mutate_manifest(manifest_path, lambda obj: obj.__setitem__("expected_marker_count", 4))
+    with pytest.raises(ManifestError, match="expected_marker_count 4 != 2 x 9"):
+        read_capture(sample_path, manifest_path)
+
+
 def test_read_rejects_bad_units(tmp_path):
     sample_path, manifest_path = _written_pair(tmp_path)
     _mutate_manifest(manifest_path, lambda obj: obj.__setitem__("units", "counts"))

@@ -14,13 +14,14 @@ from powertrace import (
     generate_run,
     validate_run,
 )
+from powertrace.model import STATE_BY_WIRE
 
 
 def test_rail_wire_names_and_order():
     assert [r.wire_name for r in RAIL_ORDER] == ["3v3", "5v", "12v_mb", "12v_cpu"]
-    assert RailKind.from_wire("12v_cpu") is RailKind.RAIL_12V_CPU
-    with pytest.raises(KeyError):
-        RailKind.from_wire("24v")
+    assert RailKind("12v_cpu") is RailKind.RAIL_12V_CPU
+    with pytest.raises(ValueError):
+        RailKind("24v")
 
 
 def test_nominal_voltages():
@@ -34,13 +35,13 @@ def test_nominal_voltages():
 def test_machine_states_are_totally_ordered():
     assert MachineState.PRE_INFECTION < MachineState.POST_INFECTION < MachineState.POST_INFECTION_REBOOT
     assert len(MachineState) == 3
-    assert MachineState.from_wire("post_infection_reboot") is MachineState.POST_INFECTION_REBOOT
+    assert STATE_BY_WIRE["post_infection_reboot"] is MachineState.POST_INFECTION_REBOOT
 
 
 def test_event_kinds():
     assert {e.wire_name for e in EventKind} == {"boot", "idle", "open_browser"}
-    with pytest.raises(KeyError):
-        EventKind.from_wire("reboot")  # reboot is a state, not an event
+    with pytest.raises(ValueError):
+        EventKind("reboot")  # reboot is a state, not an event
 
 
 def test_trace_duration_is_count_times_period():
@@ -133,15 +134,6 @@ def test_validate_run_reports_disordered_schedule():
     ))
     run = _tiny_run(schedule=sched)
     assert any("not ordered" in v for v in validate_run(run))
-
-
-def test_validate_run_reports_marker_count_mismatch():
-    sched = RunSchedule(
-        entries=((MachineState.PRE_INFECTION, EventKind.IDLE),),
-        expected_marker_count=4,
-    )
-    run = _tiny_run(schedule=sched)
-    assert any("expected_marker_count 4" in v for v in validate_run(run))
 
 
 def test_validate_run_reports_empty_schedule():
