@@ -152,7 +152,12 @@ class AnalyzedRun:
 
 
 def _analyze(sample_path: Path, marker_params: MarkerParams) -> AnalyzedRun:
-    return AnalyzedRun(_read_capture(sample_path, manifest_path_for(sample_path)), marker_params)
+    """Read and analyze one capture; an error names the capture's path."""
+    try:
+        run = _read_capture(sample_path, manifest_path_for(sample_path))
+        return AnalyzedRun(run, marker_params)
+    except PowerTraceError as exc:
+        raise PowerTraceError(f"{sample_path}: {exc}") from None
 
 
 def _analysis_payload(analyzed: AnalyzedRun) -> dict:
@@ -285,7 +290,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                   f"{len(analyzed.segments)} segments -> {report_path.name}, "
                   f"{len(plot_paths)} plot files")
         except PowerTraceError as exc:
-            status = _fail(f"{sample_path}: {exc}")
+            status = _fail(str(exc))
     return status
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AggregationError, AlignmentError, ComparisonError
 from .model import RAIL_ORDER, EventKind, MachineState, RailKind
@@ -146,6 +147,52 @@ def _pearson(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(am, bm) / den)
 
 
+# A lag is scored from running sums only where its overlap keeps at least
+# this share of each series' total variance; the rest are scored exactly.
+LAG_TRUST = 1e-3
+
+
+def _lag_candidates(a: np.ndarray, b: np.ndarray, max_shift: int) -> np.ndarray:
+    """Lags in [-max_shift, max_shift] that may hold the best _pearson score.
+
+    Each overlap's sum and variance come from cumulative sums of the
+    centred series, and its dot product from one correlation of a with b
+    zero-padded by max_shift on both sides (Lewis 1995, "Fast Normalized
+    Cross-Correlation"): O(n * max_shift) in all. Rounding moves each of
+    these sums by at most about n * eps times the series' total variance
+    (Higham 2002, section 3.1). On a trusted lag, one whose overlap keeps
+    LAG_TRUST of both totals, the approximate score is then within about
+    12 * n * eps / LAG_TRUST of _pearson's. A lag is a candidate when it is
+    not trusted, or when its score lies within 64 * n * eps / LAG_TRUST of
+    the best trusted score, more than twice that bound. So every lag whose
+    _pearson score equals the maximum is a candidate.
+    """
+    n = len(a)
+    lags = np.arange(-max_shift, max_shift + 1)
+    m = n - np.abs(lags)
+    a0 = a - a.mean()
+    b0 = b - b.mean()
+
+    def overlap_moments(x: np.ndarray, start: np.ndarray):
+        sums = np.concatenate(([0.0], np.cumsum(x)))
+        squares = np.concatenate(([0.0], np.cumsum(x * x)))
+        total = sums[start + m] - sums[start]
+        variance = squares[start + m] - squares[start] - total * total / m
+        return total, variance, squares[-1]
+
+    sum_a, var_a, energy_a = overlap_moments(a0, np.maximum(0, -lags))
+    sum_b, var_b, energy_b = overlap_moments(b0, np.maximum(0, lags))
+    pad = np.zeros(max_shift)
+    dots = np.correlate(np.concatenate((pad, b0, pad)), a0, "valid")
+    trusted = (var_a >= LAG_TRUST * energy_a) & (var_b >= LAG_TRUST * energy_b)
+    score = np.full(len(lags), -np.inf)
+    score[trusted] = (dots - sum_a * sum_b / m)[trusted] / np.sqrt(
+        var_a[trusted] * var_b[trusted]
+    )
+    margin = 64 * n * np.finfo(np.float64).eps / LAG_TRUST
+    return lags[~trusted | (score >= score.max() - margin)]
+
+
 def estimate_lag(
     baseline: np.ndarray,
     suspect: np.ndarray,
@@ -155,9 +202,10 @@ def estimate_lag(
     """Best integer lag by normalized cross-correlation.
 
     Positive lag means the suspect series is delayed relative to the
-    baseline. Ties break toward the smallest |lag|, then toward the
-    negative lag. A series with zero variance over its full length gets
-    lag 0 with the zero_variance flag set.
+    baseline. The lag with the highest _pearson score over its overlap
+    wins; ties break toward the smallest |lag|, then toward the negative
+    lag. A series with zero variance over its full length gets lag 0 with
+    the zero_variance flag set. Inputs must be finite.
     """
     a, b = align(baseline, suspect)
     n = len(a)
@@ -172,8 +220,8 @@ def estimate_lag(
     best_lag = 0
     best_r = -np.inf
     # Preference order 0, -1, 1, -2, 2, ... with a strict improvement rule
-    # implements the tie-break in one pass.
-    for lag in sorted(range(-max_shift, max_shift + 1), key=lambda l: (abs(l), l)):
+    # implements the tie-break in one pass over the exactly scored lags.
+    for lag in sorted(_lag_candidates(a, b, max_shift).tolist(), key=lambda l: (abs(l), l)):
         if lag >= 0:
             wa, wb = a[: n - lag], b[lag:]
         else:
@@ -188,23 +236,62 @@ def estimate_lag(
 
 
 def _rolling_median_mad(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Median and MAD of the window around each sample, as np.median gives them.
+
+    The window holds w = min(window, n) samples, (w - 1) // 2 before the
+    sample and w // 2 after it, and shrinks at the series' edges. Each
+    window is sorted once, and its median is its middle value, or (a + b) / 2
+    of its two middle values. In a sorted window S with median m, the k
+    values nearest m form a contiguous run, so the k-th smallest |S - m| is
+    min over lo of max(m - S[lo], S[lo + k - 1] - m). Rounded differences
+    are monotone in S, so this picks the same deviations np.median does.
+    """
     n = len(x)
     w = min(window, n)
+    before, after = (w - 1) // 2, w // 2
     med = np.empty(n)
     mad = np.empty(n)
-    left = (w - 1) // 2
-    right = w // 2
-    views = np.lib.stride_tricks.sliding_window_view(x, w)
-    med_full = np.median(views, axis=1)
-    mad_full = np.median(np.abs(views - med_full[:, None]), axis=1)
-    med[left : n - right] = med_full
-    mad[left : n - right] = mad_full
-    # Shrinking windows at the edges keep every index defined.
-    for i in (*range(left), *range(n - right, n)):
-        chunk = x[max(0, i - left) : i + right + 1]
-        m = np.median(chunk)
-        med[i] = m
-        mad[i] = np.median(np.abs(chunk - m))
+
+    # Full windows. Row j of dev holds the j-th smallest value of every
+    # window, less the window's median; rows before and after are the
+    # middle ones.
+    dev = np.ascontiguousarray(np.sort(sliding_window_view(x, w), axis=1).T)
+    full_med = dev[before].copy() if before == after else (dev[before] + dev[after]) / 2
+    dev -= full_med
+
+    def kth_deviation(k: int) -> np.ndarray:
+        return np.maximum(-dev[: w - k + 1], dev[k - 1 :]).min(axis=0)
+
+    full_mad = kth_deviation(before + 1)
+    if before != after:
+        full_mad = (full_mad + kth_deviation(after + 1)) / 2
+    med[before : n - after] = full_med
+    mad[before : n - after] = full_mad
+
+    # The 2 * (w - 1) shrinking edge windows, in one batch: padding the
+    # series with +inf keeps each w wide, with its own values sorted first.
+    edge = np.r_[0:before, n - after : n]
+    if len(edge) == 0:
+        return med, mad
+    padded = np.concatenate((np.full(before, np.inf), x, np.full(after, np.inf)))
+    rows = np.sort(sliding_window_view(padded, w)[edge], axis=1)
+    length = np.minimum(n, edge + after + 1) - np.maximum(0, edge - before)
+    lo, hi = (length - 1) // 2, length // 2
+    at = np.arange(len(edge))
+    edge_med = np.where(lo == hi, rows[at, lo], (rows[at, lo] + rows[at, hi]) / 2)
+    rows -= edge_med[:, None]
+    # A shrinking window is shorter than w, so lo + k - 1 stays below w;
+    # the padding's infinite deviations rule out runs that reach it.
+    starts = np.arange(w // 2 + 1)
+
+    def kth_edge_deviation(k: np.ndarray) -> np.ndarray:
+        ends = np.take_along_axis(rows, starts + k[:, None] - 1, axis=1)
+        return np.maximum(-rows[:, : len(starts)], ends).min(axis=1)
+
+    d_lo = kth_edge_deviation(lo + 1)
+    edge_mad = np.where(lo == hi, d_lo, (d_lo + kth_edge_deviation(hi + 1)) / 2)
+    med[edge] = edge_med
+    mad[edge] = edge_mad
     return med, mad
 
 
@@ -237,11 +324,18 @@ def classify_increment(
     INCREMENT iff the suspect's median windowed mean exceeds the
     baseline's by more than max(abs_threshold, rel_threshold * baseline
     median). Lag and spike metrics ride along; a pair too short for the
-    lag search reports lag 0.
+    lag search reports lag 0. A non-finite sample in either series raises
+    ComparisonError.
     """
     if params is None:
         params = CompareParams()
     a, b = align(baseline, suspect)
+    for side, series in (("baseline", a), ("suspect", b)):
+        bad = np.flatnonzero(~np.isfinite(series))
+        if bad.size:
+            raise ComparisonError(
+                f"{side} sample {int(bad[0])} is not finite ({float(series[bad[0]])!r})"
+            )
     wsamp = window_sample_count(params.window, sample_period)
     means_a = windowed_means(a, wsamp)
     means_b = windowed_means(b, wsamp)

@@ -27,6 +27,10 @@ class AdcRangeError(PowerTraceError):
     """A raw value falls outside the ADC input range."""
 
 
+class PowerComputationError(PowerTraceError):
+    """A rail's voltage x current product is not a finite number."""
+
+
 class MarkerDetectionError(PowerTraceError):
     """Marker detection cannot run (degenerate or too-short input)."""
 

@@ -133,14 +133,21 @@ def _convert(convert, value, context: str):
         raise ManifestError(f"{context}: expected {convert.__name__}, got {value!r}") from None
 
 
+def _require_object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ManifestError(f"{context}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _calibration_from_json(obj: dict) -> CalibrationConfig:
+    _require_object(obj, "manifest calibration")
     for key in ("adc_bits", "adc_full_scale", "voltage_scale", "current_scale"):
         if key not in obj:
             raise ManifestError(f"calibration missing key '{key}'")
     scales: dict[str, dict[RailKind, float]] = {}
     for name in ("voltage_scale", "current_scale"):
         per_rail: dict[RailKind, float] = {}
-        for rail_name, value in obj[name].items():
+        for rail_name, value in _require_object(obj[name], f"calibration {name}").items():
             try:
                 rail = RailKind(rail_name)
             except ValueError:
@@ -154,14 +161,16 @@ def _calibration_from_json(obj: dict) -> CalibrationConfig:
         return CalibrationConfig(
             voltage_scale=scales["voltage_scale"],
             current_scale=scales["current_scale"],
-            adc_bits=int(obj["adc_bits"]),
-            adc_full_scale=float(obj["adc_full_scale"]),
+            adc_bits=_convert(int, obj["adc_bits"], "calibration adc_bits"),
+            adc_full_scale=_convert(float, obj["adc_full_scale"], "calibration adc_full_scale"),
         )
     except ValueError as exc:
         raise ManifestError(f"invalid calibration: {exc}") from None
 
 
 def _schedule_from_json(entries: list) -> RunSchedule:
+    if not isinstance(entries, list):
+        raise ManifestError(f"manifest schedule: expected a list, got {type(entries).__name__}")
     parsed = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "state" not in entry or "event" not in entry:
@@ -307,6 +316,7 @@ def read_capture(
         raise ManifestError(f"cannot read manifest {manifest_file}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
+    _require_object(manifest, "manifest")
 
     required = (
         "run_id",

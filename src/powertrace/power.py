@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PowerComputationError
 from .model import PowerSeries, RailTrace
 
 
@@ -12,8 +13,18 @@ def compute_power(trace: RailTrace) -> PowerSeries:
 
     Negative products are kept as-is and counted in the result's
     negative_samples diagnostic; clamping is a caller policy, not ours.
+    A product that is not finite, e.g. one that overflows, raises
+    PowerComputationError naming the rail and the first such sample.
     """
-    power = trace.voltage * trace.current
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = trace.voltage * trace.current
+    bad = np.flatnonzero(~np.isfinite(power))
+    if bad.size:
+        k = int(bad[0])
+        raise PowerComputationError(
+            f"rail {trace.rail.wire_name}, sample {k}: non-finite power "
+            f"{float(trace.voltage[k])!r} V x {float(trace.current[k])!r} A"
+        )
     negative = int(np.count_nonzero(power < 0.0))
     return PowerSeries(
         rail=trace.rail,

@@ -1,11 +1,17 @@
 """End-to-end tests driving the command line in process."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import compact_scenario, idle_delta
+import powertrace
 from powertrace import (
     CalibrationConfig,
     EventKind,
@@ -324,9 +330,53 @@ def test_nan_on_marker_rail_names_the_cell(infected_capture, tmp_path, capsys):
 def test_overflowing_power_is_not_written_as_infinity(infected_capture, tmp_path, capsys):
     sample, truth = infected_capture
     start, end = truth.events[(MachineState.POST_INFECTION, EventKind.IDLE)]
-    _set_cells(sample, (start + end) // 2, v_12v_mb="1e200", i_12v_mb="1e200")
+    row = (start + end) // 2
+    _set_cells(sample, row, v_12v_mb="1e200", i_12v_mb="1e200")
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["analyze", str(sample), "--out", str(out)]) == 1
-    assert "non-finite" in _one_error_line(capsys)
+    assert f"rail 12v_mb, sample {row}: non-finite power" in _one_error_line(capsys)
     assert not list(out.glob("*.analysis.json"))
+
+
+def test_overflow_outside_every_segment_still_fails(infected_capture, tmp_path, capsys):
+    sample, truth = infected_capture
+    row = truth.markers[0][0] // 2  # before the first marker, in no segment
+    _set_cells(sample, row, v_3v3="1e200", i_3v3="1e200")
+    out = tmp_path / "out"
+    assert main(["analyze", str(sample), "--out", str(out)]) == 1
+    assert f"{sample}: rail 3v3, sample {row}: non-finite power" in _one_error_line(capsys)
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--pre", "--pre"), ("--pre", "--post"), ("--pre", "--post", "--post-reboot")],
+)
+def test_compare_error_names_the_bad_capture(infected_capture, tmp_path, capsys, flags):
+    good, _ = infected_capture
+    run, truth = generate_run(compact_scenario(6))
+    bad, _ = write_capture(run, CalibrationConfig(), tmp_path / "captures")
+    start, end = truth.events[(MachineState.PRE_INFECTION, EventKind.IDLE)]
+    row = (start + end) // 2
+    _set_cells(bad, row, i_5v="nan")
+    out = tmp_path / "out"
+    argv = ["compare", "--out", str(out), "--max-lag", "0.05"]
+    for flag in flags[:-1]:
+        argv += [flag, str(good)]
+    assert main(argv + [flags[-1], str(bad)]) == 1
+    assert f"powertrace: {bad}: row {row}, column i_5v: non-finite value 'nan'" == (
+        _one_error_line(capsys)
+    )
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(powertrace.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "powertrace", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: powertrace")

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import FAST_COMPARE, analyze_pool, compact_scenario, idle_delta
 from powertrace import (
@@ -27,6 +29,7 @@ from powertrace import (
     generate_run,
     run_canonical_comparisons,
 )
+from powertrace.compare import _pearson, _rolling_median_mad
 
 PERIOD = 0.010
 
@@ -127,20 +130,41 @@ def _pearson_oracle(a, b):
     return num / math.sqrt(da * db)
 
 
-def _lag_oracle(a, b, max_lag):
-    """Independent implementation: brute-force correlation over all lags."""
+def _oracle_scores(a, b, max_lag):
+    """Exact (fsum) correlation of every lag in the search range."""
     n = len(a)
     max_shift = int(math.floor(n * max_lag))
-    best = None
+    scores = {}
     for lag in range(-max_shift, max_shift + 1):
         if lag >= 0:
-            r = _pearson_oracle(a[: n - lag], b[lag:])
+            scores[lag] = _pearson_oracle(a[: n - lag], b[lag:])
         else:
-            r = _pearson_oracle(a[-lag:], b[: n + lag])
-        key = (-r, abs(lag), lag)  # max r, then min |lag|, then negative
-        if best is None or key < best[0]:
-            best = (key, lag)
-    return best[1]
+            scores[lag] = _pearson_oracle(a[-lag:], b[: n + lag])
+    return scores
+
+
+def _lag_oracle(a, b, max_lag):
+    """Independent implementation: brute-force correlation over all lags."""
+    scores = _oracle_scores(a, b, max_lag)
+    # max r, then min |lag|, then negative
+    return min(scores, key=lambda lag: (-scores[lag], abs(lag), lag))
+
+
+def _scan_lag(a, b, max_lag):
+    """Reference scan: _pearson on every lag in order 0, -1, 1, ..., strict improvement."""
+    n = len(a)
+    max_shift = int(math.floor(n * max_lag))
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+        return 0
+    best_lag, best_r = 0, -np.inf
+    for lag in sorted(range(-max_shift, max_shift + 1), key=lambda l: (abs(l), l)):
+        if lag >= 0:
+            r = _pearson(a[: n - lag], b[lag:])
+        else:
+            r = _pearson(a[-lag:], b[: n + lag])
+        if r > best_r:
+            best_lag, best_r = lag, r
+    return best_lag
 
 
 def test_lag_matches_bruteforce_oracle_on_noisy_pairs():
@@ -152,6 +176,116 @@ def test_lag_matches_bruteforce_oracle_on_noisy_pairs():
         got = estimate_lag(a, b, 0.10, PERIOD).lag_samples
         want = _lag_oracle(a.tolist(), b.tolist(), 0.10)
         assert got == want
+
+
+@st.composite
+def _lag_pairs(draw):
+    """Integer periodic series with exact ties, steps whose overlaps have zero
+    variance at many lags, and noisy shifted copies."""
+    n = draw(st.integers(20, 120))
+    max_lag = draw(st.sampled_from([0.05, 0.1, 0.25]))
+    small_ints = st.integers(-3, 3).map(float)
+
+    def periodic():
+        pattern = draw(st.lists(small_ints, min_size=1, max_size=8))
+        return np.resize(np.array(pattern), n)
+
+    def step():
+        at = draw(st.integers(1, n - 1))
+        return np.where(np.arange(n) >= at, draw(st.sampled_from([1.0, 3.0, -2.0])), 0.0)
+
+    def noisy():
+        seed = draw(st.integers(0, 2**32 - 1))
+        return np.random.default_rng(seed).normal(draw(st.sampled_from([0.0, 20.0])), 1.0, n)
+
+    def noise_ints():
+        return np.array(draw(st.lists(small_ints, min_size=n, max_size=n)))
+
+    kinds = {"periodic": periodic, "step": step, "noisy": noisy, "ints": noise_ints}
+    a = kinds[draw(st.sampled_from(sorted(kinds)))]()
+    b_kind = draw(st.sampled_from(["shifted", *sorted(kinds)]))
+    if b_kind == "shifted":
+        b = _shift_right(a, draw(st.integers(-5, 5)))
+    else:
+        b = kinds[b_kind]()
+    return a, b, max_lag
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lag_pairs())
+def test_lag_search_matches_every_lag_scan_and_exact_oracle(pair):
+    a, b, max_lag = pair
+    got = estimate_lag(a, b, max_lag, PERIOD)
+    assert got.zero_variance == (np.ptp(a) == 0.0 or np.ptp(b) == 0.0)
+    # Same choice as scoring every lag with _pearson, exact ties included.
+    assert got.lag_samples == _scan_lag(a, b, max_lag)
+    if got.zero_variance:
+        return
+    # And a lag whose exact score is the best; when no other lag comes
+    # within rounding of it, the exact oracle's own choice.
+    scores = _oracle_scores(a.tolist(), b.tolist(), max_lag)
+    best = max(scores.values())
+    near = [lag for lag, r in scores.items() if r >= best - 1e-9]
+    assert got.lag_samples in near
+    if len(near) == 1:
+        assert got.lag_samples == _lag_oracle(a.tolist(), b.tolist(), max_lag)
+
+
+def _rolling_oracle(x, window):
+    """Per-index np.median of the window around each sample, shrinking at the edges."""
+    n = len(x)
+    w = min(window, n)
+    med = np.empty(n)
+    mad = np.empty(n)
+    for i in range(n):
+        chunk = x[max(0, i - (w - 1) // 2) : i + w // 2 + 1]
+        med[i] = np.median(chunk)
+        mad[i] = np.median(np.abs(chunk - med[i]))
+    return med, mad
+
+
+@st.composite
+def _series_and_window(draw):
+    """Series shorter than, as long as, and longer than odd and even windows,
+    from tie-heavy small-integer alphabets, constant runs or wide floats."""
+    window = draw(st.integers(1, 40))
+    n = draw(st.one_of(st.integers(1, window), st.just(window), st.integers(window, 150)))
+    kind = draw(st.sampled_from(["alphabet", "runs", "floats"]))
+    if kind == "alphabet":
+        values = st.integers(0, draw(st.integers(0, 3))).map(float)
+        x = draw(st.lists(values, min_size=n, max_size=n))
+    elif kind == "runs":
+        runs = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 60)), min_size=1))
+        x = np.resize(np.repeat(*map(np.array, zip(*runs))).astype(float), n)
+    else:
+        x = draw(st.lists(st.floats(-1e12, 1e12), min_size=n, max_size=n))
+    return np.array(x, dtype=np.float64), window
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series_and_window())
+@example((np.arange(7.0), 7))
+@example((np.array([1.0, 1.0, 2.0, 2.0]), 10))
+@example((np.full(30, 3.0), 4))
+def test_rolling_median_mad_matches_per_window_np_median(case):
+    x, window = case
+    med, mad = _rolling_median_mad(x, window)
+    want_med, want_mad = _rolling_oracle(x, window)
+    assert np.array_equal(med, want_med)
+    assert np.array_equal(mad, want_mad)
+
+
+def test_rolling_median_mad_matches_oracle_at_the_default_window():
+    # 1 s at 10 ms: w = 100, even, on a generated idle segment with spikes.
+    run, truth = generate_run(compact_scenario(29))
+    start, end = truth.events[(MachineState.PRE_INFECTION, EventKind.IDLE)]
+    trace = run.rails[RailKind.RAIL_12V_CPU]
+    x = trace.voltage[start:end] * trace.current[start:end]
+    x[::97] += 3.0
+    med, mad = _rolling_median_mad(x, 100)
+    want_med, want_mad = _rolling_oracle(x, 100)
+    assert np.array_equal(med, want_med)
+    assert np.array_equal(mad, want_mad)
 
 
 def test_spikes_zero_on_constant_series():
@@ -214,6 +348,15 @@ def test_classify_tiny_delta_is_no_increment():
     assert report.verdict is Verdict.NO_INCREMENT
     # 0.01 W < max(0.05 W, 2% of 20 W)
     assert report.delta_w == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["baseline", "suspect"])
+def test_classify_rejects_non_finite_samples(side, bad):
+    series = {"baseline": np.full(300, 20.0), "suspect": np.full(300, 21.0)}
+    series[side][123] = bad
+    with pytest.raises(ComparisonError, match=f"{side} sample 123 is not finite"):
+        classify_increment(series["baseline"], series["suspect"])
 
 
 def test_classify_requires_one_full_window():

@@ -240,6 +240,43 @@ def test_read_rejects_marker_count_mismatch(tmp_path):
         read_capture(sample_path, manifest_path)
 
 
+def test_read_rejects_manifest_that_is_not_an_object(tmp_path):
+    sample_path, manifest_path = _written_pair(tmp_path)
+    manifest_path.write_text("[1, 2]")
+    with pytest.raises(ManifestError, match="manifest: expected a JSON object, got list"):
+        read_capture(sample_path, manifest_path)
+
+
+def test_read_rejects_schedule_that_is_not_a_list(tmp_path):
+    sample_path, manifest_path = _written_pair(tmp_path)
+    _mutate_manifest(manifest_path, lambda obj: obj.__setitem__("schedule", 5))
+    with pytest.raises(ManifestError, match="manifest schedule: expected a list, got int"):
+        read_capture(sample_path, manifest_path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        (None, 3, "manifest calibration: expected a JSON object, got int"),
+        ("voltage_scale", [1.0, 2.0], "calibration voltage_scale: expected a JSON object"),
+        ("current_scale", 5, "calibration current_scale: expected a JSON object"),
+        ("adc_bits", [16], "calibration adc_bits: expected int"),
+    ],
+)
+def test_read_rejects_calibration_of_the_wrong_shape(tmp_path, key, value, message):
+    sample_path, manifest_path = _written_pair(tmp_path)
+
+    def mutate(obj):
+        if key is None:
+            obj["calibration"] = value
+        else:
+            obj["calibration"][key] = value
+
+    _mutate_manifest(manifest_path, mutate)
+    with pytest.raises(ManifestError, match=message):
+        read_capture(sample_path, manifest_path)
+
+
 def test_read_rejects_bad_units(tmp_path):
     sample_path, manifest_path = _written_pair(tmp_path)
     _mutate_manifest(manifest_path, lambda obj: obj.__setitem__("units", "counts"))

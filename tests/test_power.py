@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from powertrace import (
+    PowerComputationError,
     PowerSeries,
     RailKind,
     RailTrace,
@@ -64,6 +67,18 @@ def test_linear_in_current():
         scaled = compute_power(_trace(voltage, c * current))
         base = compute_power(_trace(voltage, current))
         assert np.allclose(scaled.power, c * base.power, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "voltage, current, sample",
+    [([12.0, 1e200, 1e200], [1.0, 1e200, 2.0], 1), ([12.0, 12.0], [1.0, np.nan], 1),
+     ([np.inf, 12.0], [0.0, 1.0], 0)],
+)
+def test_non_finite_power_names_rail_and_sample(voltage, current, sample):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PowerComputationError, match=f"rail 12v_mb, sample {sample}: non-finite"):
+            compute_power(_trace(np.array(voltage), np.array(current)))
 
 
 def test_window_sample_count_floors_with_minimum_one():
