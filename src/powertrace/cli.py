@@ -29,7 +29,7 @@ from .compare import (
     segment_power_pool,
 )
 from .errors import PowerTraceError
-from .ingest import CalibrationConfig, manifest_path_for, write_capture
+from .ingest import CalibrationConfig, manifest_path_for, write_capture, write_series_csv
 from .ingest import read_capture as _read_capture
 from .model import RAIL_ORDER, CaptureRun, MachineState, PowerSeries, RailKind, to_wire
 from .power import compute_power
@@ -56,6 +56,23 @@ def _write_json(path: Path, payload: dict, stamp: bool) -> None:
         raise PowerTraceError(f"{path}: refusing to write a non-finite number ({exc})") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="ascii")
+
+
+def _output_dir(out: str) -> Path:
+    """The --out directory, checked before any work: its nearest existing
+    path must be a directory. It is created when the first output is written.
+    """
+    path = Path(out)
+    try:
+        for existing in (path, *path.parents):
+            if existing.exists():
+                if not existing.is_dir():
+                    which = "" if existing == path else f"{existing} is "
+                    raise PowerTraceError(f"{path}: {which}not a directory")
+                break
+    except OSError as exc:
+        raise PowerTraceError(f"{path}: {exc.strerror}") from None
+    return path
 
 
 def _marker_params(args: argparse.Namespace) -> MarkerParams:
@@ -202,18 +219,13 @@ def _analysis_payload(analyzed: AnalyzedRun) -> dict:
 
 
 def _write_plot_files(analyzed: AnalyzedRun, out_dir: Path, stem: str) -> list[Path]:
-    period = analyzed.sample_period
-    paths = []
-    for rail in RAIL_ORDER:
-        power = analyzed.powers[rail].power
-        lines = ["time_s,power_w"]
-        lines.extend(
-            f"{k * period:.6f},{repr(float(p))}" for k, p in enumerate(power)
-        )
-        path = out_dir / f"{stem}.plot.{rail.wire_name}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        paths.append(path)
-    return paths
+    tables = [
+        (out_dir / f"{stem}.plot.{rail.wire_name}.csv", "time_s,power_w",
+         [analyzed.powers[rail].power])
+        for rail in RAIL_ORDER
+    ]
+    write_series_csv(analyzed.sample_period, tables)
+    return [path for path, _, _ in tables]
 
 
 def _report_from_json(obj: dict, source: str) -> ComparisonReport:
@@ -262,8 +274,8 @@ def _aggregate_payload(dataset_reports: list[list[ComparisonReport]]) -> dict:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config, overrides = load_scenario(args.config)
+    out_dir = _output_dir(args.out)
     datasets = generate_ensemble(config, args.datasets, overrides)
-    out_dir = Path(args.out)
     cal = CalibrationConfig()
     for run, truth in datasets:
         sample_path, manifest_path = write_capture(run, cal, out_dir)
@@ -276,12 +288,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     params = _marker_params(args)
+    out = _output_dir(args.out) if args.out else None
     status = 0
     for capture in args.captures:
         sample_path = Path(capture)
         try:
             analyzed = _analyze(sample_path, params)
-            out_dir = Path(args.out) if args.out else sample_path.parent
+            out_dir = out or sample_path.parent
             out_dir.mkdir(parents=True, exist_ok=True)
             report_path = out_dir / f"{sample_path.stem}.analysis.json"
             _write_json(report_path, _analysis_payload(analyzed), stamp=args.stamp)
@@ -317,6 +330,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"got {len(pre_paths)} --pre captures but {len(reboot_paths)} "
             f"--post-reboot captures"
         )
+    out = _output_dir(args.out) if args.out else None
 
     dataset_reports: list[list[ComparisonReport]] = []
     report_payloads: list[tuple[Path, dict]] = []
@@ -332,8 +346,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
         dataset_reports.append(reports)
 
-        out_dir = Path(args.out) if args.out else post_paths[i].parent
-        report_path = out_dir / f"{post_paths[i].stem}.comparison.json"
+        report_path = (out or post_paths[i].parent) / f"{post_paths[i].stem}.comparison.json"
         payload = {
             "pre_run_id": pre.run.run_id,
             "post_run_id": post.run.run_id,
@@ -347,27 +360,27 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _write_json(report_path, payload, stamp=args.stamp)
         _note(f"wrote {report_path}")
 
-    agg_dir = Path(args.out) if args.out else pre_paths[0].parent
-    agg_path = agg_dir / "aggregate.json"
+    agg_path = (out or pre_paths[0].parent) / "aggregate.json"
     _write_json(agg_path, _aggregate_payload(dataset_reports), stamp=args.stamp)
     _note(f"wrote {agg_path}")
     return 0
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
+    out_dir = _output_dir(args.out)
     dataset_reports: list[list[ComparisonReport]] = []
     for report_file in args.reports:
         path = Path(report_file)
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             return _fail(f"cannot read comparison report {path}: {exc}")
         if not isinstance(obj, dict) or not isinstance(obj.get("reports"), list):
             return _fail(f"{path}: missing 'reports' list")
         dataset_reports.append(
             [_report_from_json(entry, str(path)) for entry in obj["reports"]]
         )
-    agg_path = Path(args.out) / "aggregate.json"
+    agg_path = out_dir / "aggregate.json"
     _write_json(agg_path, _aggregate_payload(dataset_reports), stamp=args.stamp)
     _note(f"wrote {agg_path}")
     return 0

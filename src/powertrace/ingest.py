@@ -42,6 +42,11 @@ _COLUMNS = SAMPLE_HEADER.split(",")
 DEFAULT_VOLTAGE_SCALE = 2.0
 DEFAULT_CURRENT_SCALE = 1.0
 
+# Rows per formatted block when writing, characters per read when parsing:
+# both bound the memory of CSV I/O independently of the capture's length.
+_WRITE_ROWS = 8192
+_READ_CHARS = 1 << 16
+
 
 def _per_rail(value: float):
     """Default factory for a table holding *value* on every rail."""
@@ -186,6 +191,34 @@ def _schedule_from_json(entries: list) -> RunSchedule:
     return RunSchedule(entries=tuple(parsed))
 
 
+def write_series_csv(
+    sample_period: float, tables: list[tuple[Path, str, list[np.ndarray]]]
+) -> None:
+    """Write each ``(path, header, columns)`` table as a CSV file: *header*,
+    then one row per sample, ``k * sample_period`` as ``.6f`` followed by
+    ``repr`` of each column's float.
+
+    Cells are formatted column-wise in blocks of _WRITE_ROWS rows, so
+    memory stays bounded by one block whatever the capture's length, and
+    the tables of one call share each block's time column.
+    """
+    n = len(tables[0][2][0])
+    handles = []
+    try:
+        for path, header, _ in tables:
+            handles.append(path.open("w", encoding="ascii"))
+            handles[-1].write(header + "\n")
+        for lo in range(0, n, _WRITE_ROWS):
+            hi = min(lo + _WRITE_ROWS, n)
+            times = [f"{k * sample_period:.6f}" for k in range(lo, hi)]
+            for fh, (_, _, columns) in zip(handles, tables):
+                cells = [times, *(map(repr, col[lo:hi].tolist()) for col in columns)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    finally:
+        for fh in handles:
+            fh.close()
+
+
 def write_capture(
     run: CaptureRun,
     cal: CalibrationConfig,
@@ -220,16 +253,10 @@ def write_capture(
         columns.append(qi)
 
     sample_period = run.rails[RAIL_ORDER[0]].sample_period
-    n = len(run.rails[RAIL_ORDER[0]])
     sample_path, manifest_path = capture_paths(out_dir, run.run_id)
     sample_path.parent.mkdir(parents=True, exist_ok=True)
 
-    lines = [SAMPLE_HEADER]
-    for k in range(n):
-        cells = [f"{k * sample_period:.6f}"]
-        cells.extend(repr(float(col[k])) for col in columns)
-        lines.append(",".join(cells))
-    sample_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_series_csv(sample_period, [(sample_path, SAMPLE_HEADER, columns)])
 
     manifest = {
         "run_id": run.run_id,
@@ -250,12 +277,58 @@ def write_capture(
     return sample_path, manifest_path
 
 
+def _load_sample_rows(fh) -> np.ndarray | None:
+    """Fast path: the sample table of an open capture, via numpy's C reader.
+
+    Lines are split as str.splitlines splits them, so the rows are those
+    _parse_sample_text sees, and each cell is read by the same strtod as
+    float(). Returns None, leaving the file to _parse_sample_text, unless
+    the header is exact and every row holds 9 finite numbers that loadtxt
+    accepts: loadtxt rejects whitespace-only lines and '1_0', which float()
+    accepts, and only the slow path words the error messages.
+    """
+
+    def read() -> str:
+        chunk = fh.read(_READ_CHARS)
+        if "\x1f" in chunk:
+            # loadtxt strips this from a cell as whitespace; float() rejects it.
+            raise ValueError("unit separator in sample file")
+        return chunk
+
+    def lines(buf: str):
+        while chunk := read():
+            parts = (buf + chunk).splitlines(keepends=True)
+            buf = parts.pop()
+            yield from parts
+        yield from buf.splitlines(keepends=True)
+
+    try:
+        if fh.readline() != SAMPLE_HEADER + "\n":
+            return None
+        head = read()
+        if not head.strip("\n"):
+            return None  # loadtxt would warn about an empty table
+        data = np.loadtxt(lines(head), delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:  # a cell loadtxt rejects, or a byte that is not ASCII
+        return None
+    if data.shape[1] != len(_COLUMNS) or not np.isfinite(data).all():
+        return None
+    return data
+
+
 def _parse_sample_file(sample_file: Path) -> np.ndarray:
     try:
-        text = sample_file.read_text(encoding="ascii")
-    except OSError as exc:
+        with sample_file.open(encoding="ascii") as fh:
+            data = _load_sample_rows(fh)
+        if data is None:
+            data = _parse_sample_text(sample_file.read_text(encoding="ascii"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise CaptureFormatError(f"cannot read sample file {sample_file}: {exc}") from None
+    return data
 
+
+def _parse_sample_text(text: str) -> np.ndarray:
+    """Reference parser of a decoded sample file; names the first bad row or cell."""
     lines = text.splitlines()
     if not lines:
         raise CaptureFormatError("empty sample file (no header)")
@@ -288,14 +361,28 @@ def _parse_sample_file(sample_file: Path) -> np.ndarray:
                         f"row {r}, column {_COLUMNS[c]}: non-numeric value '{cell}'"
                     ) from None
         raise CaptureFormatError("malformed sample rows") from None
-    if data.ndim != 2:
-        raise CaptureFormatError("malformed sample rows")
+    if data.shape[1] != len(_COLUMNS):  # every row has the same wrong count
+        raise CaptureFormatError(f"row 0: {data.shape[1]} fields, expected {len(_COLUMNS)}")
     if not np.isfinite(data).all():
         r, c = np.argwhere(~np.isfinite(data))[0]
         raise CaptureFormatError(
             f"row {r}, column {_COLUMNS[c]}: non-finite value '{rows[r][c]}'"
         )
     return data
+
+
+def _check_timestamps(t: np.ndarray, sample_period: float) -> None:
+    # A function of its own, so the step arrays are freed before the rails are built.
+    if len(t) > 1:
+        steps = np.diff(t)
+        bad = np.abs(steps - sample_period) > 0.1 * sample_period
+        if np.any(bad):
+            row = int(np.argmax(bad)) + 1
+            raise TimingError(
+                f"non-uniform timestamp at row {row}: step {float(steps[row - 1]):.9g} s "
+                f"vs sample period {sample_period:.9g} s",
+                row_index=row,
+            )
 
 
 def read_capture(
@@ -312,7 +399,7 @@ def read_capture(
     manifest_file = Path(manifest_file)
     try:
         manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {manifest_file}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
@@ -348,18 +435,7 @@ def read_capture(
         raise ManifestError(f"sample_period_s must be positive, got {sample_period}")
 
     data = _parse_sample_file(Path(sample_file))
-
-    t = data[:, 0]
-    if len(t) > 1:
-        steps = np.diff(t)
-        bad = np.abs(steps - sample_period) > 0.1 * sample_period
-        if np.any(bad):
-            row = int(np.argmax(bad)) + 1
-            raise TimingError(
-                f"non-uniform timestamp at row {row}: step {float(steps[row - 1]):.9g} s "
-                f"vs sample period {sample_period:.9g} s",
-                row_index=row,
-            )
+    _check_timestamps(data[:, 0], sample_period)
 
     rails: dict[RailKind, RailTrace] = {}
     for j, rail in enumerate(RAIL_ORDER):

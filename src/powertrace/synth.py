@@ -458,7 +458,7 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig, list[InfectionEffec
     """Read a scenario JSON file; see scenario_from_dict."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioConfigError(f"cannot read scenario file {path}: {exc}") from None
     try:
         obj = json.loads(text)

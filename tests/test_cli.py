@@ -380,3 +380,56 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: powertrace")
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("command", ["synth", "analyze", "compare", "aggregate"])
+def test_out_that_is_a_file_fails_before_any_work(
+    workdir, compared, tmp_path, capsys, command, nested
+):
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="ascii")
+    out = afile / "x" if nested else afile
+    argv = {
+        "synth": ["synth", "--config", str(workdir.config)],
+        "analyze": ["analyze", str(workdir.sample)],
+        # A missing capture: the --out check must come before any capture is read.
+        "compare": ["compare", "--pre", str(tmp_path / "missing.csv")],
+        "aggregate": ["aggregate", str(compared / f"{STEM}.comparison.json")],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    detail = f"{afile} is not a directory" if nested else "not a directory"
+    assert _one_error_line(capsys) == f"powertrace: {out}: {detail}"
+
+
+def test_out_with_a_name_too_long_fails_cleanly(compared, capsys):
+    out = "x" * 300
+    assert main(["aggregate", str(compared / f"{STEM}.comparison.json"), "--out", out]) == 1
+    assert _one_error_line(capsys) == f"powertrace: {out}: File name too long"
+
+
+@pytest.mark.parametrize("target", ["sample", "manifest", "report", "scenario"])
+def test_undecodable_byte_names_the_file_and_offset(workdir, compared, tmp_path, capsys, target):
+    sample = tmp_path / f"{STEM}.csv"
+    sample.write_bytes(workdir.sample.read_bytes())
+    manifest = tmp_path / f"{STEM}.manifest.json"
+    manifest.write_bytes((workdir.captures / f"{STEM}.manifest.json").read_bytes())
+    report = tmp_path / "bad.comparison.json"
+    report.write_bytes((compared / f"{STEM}.comparison.json").read_bytes())
+    config = tmp_path / "scenario.json"
+    config.write_bytes(workdir.config.read_bytes())
+    path, argv = {
+        "sample": (sample, ["analyze", str(sample)]),
+        "manifest": (manifest, ["analyze", str(sample)]),
+        "report": (report, ["aggregate", str(report)]),
+        "scenario": (config, ["synth", "--config", str(config)]),
+    }[target]
+    raw = bytearray(path.read_bytes())
+    offset = len(raw) // 2
+    raw[offset] = 0xE9 if target == "sample" else 0xFF
+    path.write_bytes(bytes(raw))
+
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    message = _one_error_line(capsys)
+    assert str(path) in message
+    assert f"byte 0x{raw[offset]:02x} in position {offset}" in message

@@ -1,8 +1,11 @@
 import json
+import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import compact_scenario, random_run
@@ -14,13 +17,18 @@ from powertrace import (
     RAIL_ORDER,
     RailKind,
     RailTrace,
+    ScenarioConfig,
     TimingError,
+    compute_power,
     generate_run,
+    ingest,
     manifest_path_for,
     quantize,
     read_capture,
     write_capture,
 )
+from powertrace.cli import _write_plot_files
+from powertrace.ingest import SAMPLE_HEADER
 
 CAL = CalibrationConfig()
 HALF_LSB = CAL.lsb / 2
@@ -176,6 +184,18 @@ def test_read_names_non_numeric_cell(tmp_path):
         read_capture(sample_path, manifest_path)
 
 
+@pytest.mark.parametrize("fields", [8, 10])
+def test_read_rejects_a_wrong_field_count_on_every_row(tmp_path, fields):
+    sample_path, manifest_path = _written_pair(tmp_path)
+    lines = sample_path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        lines[i] = ",".join(cells[:8] if fields == 8 else cells + ["0.0"])
+    sample_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CaptureFormatError, match=f"row 0: {fields} fields, expected 9"):
+        read_capture(sample_path, manifest_path)
+
+
 def test_read_rejects_non_uniform_timestamps(tmp_path):
     sample_path, manifest_path = _written_pair(tmp_path)
     lines = sample_path.read_text().splitlines()
@@ -297,3 +317,167 @@ def test_explicit_calibration_overrides_manifest(tmp_path):
         assert np.allclose(
             back.rails[rail].voltage, 2.0 * default_back.rails[rail].voltage
         )
+
+
+# --- CSV I/O: the fast paths against per-row and list-of-strings references ---
+
+
+def _reference_csv(header: str, period: float, columns) -> bytes:
+    """The per-row formatter the block writer replaced."""
+    lines = [header]
+    for k in range(len(columns[0])):
+        cells = [f"{k * period:.6f}"]
+        cells.extend(repr(float(col[k])) for col in columns)
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _quantized_columns(run, units: str) -> list[np.ndarray]:
+    columns = []
+    for rail in RAIL_ORDER:
+        trace = run.rails[rail]
+        for values, scale in (
+            (trace.voltage, CAL.voltage_scale[rail]),
+            (trace.current, CAL.current_scale[rail]),
+        ):
+            q = quantize(values / scale, CAL)
+            columns.append(q * scale if units == "engineering" else q)
+    return columns
+
+
+CHUNK = ingest._WRITE_ROWS
+
+
+@pytest.mark.parametrize("units", ["engineering", "raw"])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_writers_match_the_per_row_formatter_at_block_edges(tmp_path, n, units):
+    run = random_run(np.random.default_rng(n), n=n)
+    period = run.rails[RAIL_ORDER[0]].sample_period
+    sample_path, manifest_path = write_capture(run, CAL, tmp_path, units=units)
+    assert sample_path.read_bytes() == _reference_csv(
+        SAMPLE_HEADER, period, _quantized_columns(run, units)
+    )
+
+    back = read_capture(sample_path, manifest_path)
+    powers = {rail: compute_power(back.rails[rail]) for rail in RAIL_ORDER}
+    analyzed = SimpleNamespace(sample_period=period, powers=powers)
+    paths = _write_plot_files(analyzed, tmp_path, "plot")
+    for rail, path in zip(RAIL_ORDER, paths):
+        assert path.name == f"plot.plot.{rail.wire_name}.csv"
+        assert path.read_bytes() == _reference_csv(
+            "time_s,power_w", period, [powers[rail].power]
+        )
+
+
+def _outcome(parse):
+    try:
+        data = parse()
+    except CaptureFormatError as exc:
+        return "error", str(exc)
+    return "data", data.shape, data.tobytes()
+
+
+def _mostly(common, rare, odds: int = 20):
+    """*common*, except one draw in about *odds* comes from *rare*."""
+    return st.integers(0, odds).flatmap(lambda i: rare if i == 0 else common)
+
+
+# Cells float() accepts, and cells it rejects or that loadtxt might read otherwise:
+# underscores, hex, quotes, comments, non-finite values, NUL, and the ASCII
+# separators that are whitespace to loadtxt but line breaks (\x0b, \x0c, \x1c-\x1e)
+# or not whitespace (\x1f) to str.splitlines and float().
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["1e5", "1E-3", "-2.5e+07", ".5", "5.", "+1.5", "-0", "007", " 7 ",
+                     "\t3", "2 ", "1e-400"]),
+)
+_ODD_CELLS = st.sampled_from([
+    "", " ", "\t", "1_0", "0x1p3", "#1", '"1"', "nan", "-inf", "Infinity", "1e400",
+    "1 2", "1d5", "0\x001", "3\x0c", "\x0b4", "5\x1f", "\x1f", "6\x1c", "\r", "abc",
+])
+_CELLS = _mostly(_NUMBERS, _ODD_CELLS, odds=100)
+_ROWS = _mostly(
+    st.lists(_CELLS, min_size=9, max_size=9).map(",".join),
+    st.one_of(
+        st.lists(_CELLS, min_size=0, max_size=11).map(",".join),
+        st.sampled_from(["", "   ", "\t", "# comment", "\x0c", ",", "\x1f"]),
+    ),
+)
+_LINE_BREAKS = _mostly(
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]),
+)
+_HEADERS = _mostly(
+    st.just(SAMPLE_HEADER),
+    st.sampled_from([" " + SAMPLE_HEADER, SAMPLE_HEADER + "\t", "",
+                     SAMPLE_HEADER.replace("v_5v", "v_5"), SAMPLE_HEADER + ",x"]),
+)
+
+
+@st.composite
+def _sample_texts(draw):
+    text = draw(_HEADERS) + draw(_LINE_BREAKS)
+    for row, brk in draw(st.lists(st.tuples(_ROWS, _LINE_BREAKS), max_size=12)):
+        text += row + brk
+    return text[:-1] if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("parse") / "sample.csv"
+
+
+_ROW = "0.0,1,2,3,4,5,6,7,8"
+_ROW_WITH_FORM_FEED = _ROW.replace(",4", "\x0c,4")
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_sample_texts(), read_chars=st.sampled_from([1, 2, 7, 64, ingest._READ_CHARS]))
+@example(text=f"{SAMPLE_HEADER}\n{_ROW}\x1f\n", read_chars=ingest._READ_CHARS)
+@example(text=f"{SAMPLE_HEADER}\n{_ROW_WITH_FORM_FEED}\n", read_chars=2)
+@example(text=f"{SAMPLE_HEADER}\n{_ROW[:-2]}\r\n{_ROW[:-2]}\r\n", read_chars=7)
+@example(text=f"{SAMPLE_HEADER}\n1_0{_ROW[3:]}\n \n{_ROW}", read_chars=ingest._READ_CHARS)
+@example(text=f"{SAMPLE_HEADER}\n{_ROW}\nnan{_ROW[3:]}\n", read_chars=1)
+def test_fast_parse_equals_the_reference_parser(scratch_csv, text, read_chars):
+    # A new file each time: truncating a written one can wait for a flush.
+    scratch_csv.unlink(missing_ok=True)
+    scratch_csv.write_bytes(text.encode("ascii"))
+    reference = _outcome(lambda: ingest._parse_sample_text(scratch_csv.read_text(encoding="ascii")))
+    with mock.patch.object(ingest, "_READ_CHARS", read_chars):
+        assert _outcome(lambda: ingest._parse_sample_file(scratch_csv)) == reference
+
+
+def test_fast_parse_takes_a_written_capture(tmp_path):
+    run = random_run(np.random.default_rng(11), n=500)
+    sample_path, _ = write_capture(run, CAL, tmp_path)
+    with sample_path.open(encoding="ascii") as fh:
+        data = ingest._load_sample_rows(fh)
+    assert data is not None
+    reference = ingest._parse_sample_text(sample_path.read_text(encoding="ascii"))
+    assert data.tobytes() == reference.tobytes()
+
+
+def test_fast_parse_leaves_whitespace_lines_to_the_reference_parser(tmp_path):
+    sample_path, manifest_path = _written_pair(tmp_path)
+    lines = sample_path.read_text().splitlines()
+    lines.insert(4, "   ")
+    lines[6] = lines[6].replace(",", " ,", 1)
+    sample_path.write_text("\r\n".join(lines) + "\r\n")
+    with sample_path.open(encoding="ascii") as fh:
+        assert ingest._load_sample_rows(fh) is None
+    back = read_capture(sample_path, manifest_path)
+    assert len(back.rails[RailKind.RAIL_3V3]) == 30
+
+
+def test_read_capture_allocates_under_four_times_its_array(tmp_path):
+    run, _ = generate_run(ScenarioConfig(seed=3))
+    sample_path, manifest_path = write_capture(run, CAL, tmp_path)
+    table_bytes = len(run.rails[RAIL_ORDER[0]]) * len(ingest._COLUMNS) * 8
+    tracemalloc.start()
+    try:
+        read_capture(sample_path, manifest_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * table_bytes, (peak, table_bytes)
