@@ -29,7 +29,13 @@ from .compare import (
     segment_power_pool,
 )
 from .errors import PowerTraceError
-from .ingest import CalibrationConfig, manifest_path_for, write_capture, write_series_csv
+from .ingest import (
+    CalibrationConfig,
+    manifest_path_for,
+    write_capture,
+    write_series_csv,
+    write_text_output,
+)
 from .ingest import read_capture as _read_capture
 from .model import RAIL_ORDER, CaptureRun, MachineState, PowerSeries, RailKind, to_wire
 from .power import compute_power
@@ -54,8 +60,7 @@ def _write_json(path: Path, payload: dict, stamp: bool) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise PowerTraceError(f"{path}: refusing to write a non-finite number ({exc})") from None
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="ascii")
+    write_text_output(path, text + "\n")
 
 
 def _output_dir(out: str) -> Path:
@@ -295,7 +300,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         try:
             analyzed = _analyze(sample_path, params)
             out_dir = out or sample_path.parent
-            out_dir.mkdir(parents=True, exist_ok=True)
             report_path = out_dir / f"{sample_path.stem}.analysis.json"
             _write_json(report_path, _analysis_payload(analyzed), stamp=args.stamp)
             plot_paths = _write_plot_files(analyzed, out_dir, sample_path.stem)

@@ -14,6 +14,7 @@ written file reproduces the device's precision loss.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AdcRangeError, CaptureFormatError, ManifestError, TimingError
+from .errors import AdcRangeError, CaptureFormatError, ManifestError, PowerTraceError, TimingError
 from .model import (
     RAIL_ORDER,
     STATE_BY_WIRE,
@@ -191,6 +192,57 @@ def _schedule_from_json(entries: list) -> RunSchedule:
     return RunSchedule(entries=tuple(parsed))
 
 
+def _open_output(path: Path):
+    """Open *path* as a new ASCII file for writing, creating its directory.
+
+    An existing regular file is unlinked, not truncated: truncating in place
+    can cost a flush of the old blocks (tens of ms a file on ext4). A
+    symlink is kept and written through.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_file() and not path.is_symlink():
+        path.unlink()
+    return path.open("w", encoding="ascii")
+
+
+def _output_error(path: Path, exc: OSError) -> PowerTraceError:
+    """The one-line error for an output *path* that cannot be written."""
+    reason = exc.strerror or str(exc)
+    if exc.filename is not None and Path(exc.filename) != path:
+        reason = f"{exc.filename}: {reason}"
+    return PowerTraceError(f"{path}: {reason}")
+
+
+def write_text_output(path: Path, text: str) -> None:
+    """Write *text* to the output file *path*; an OSError becomes a one-line error."""
+    try:
+        with _open_output(path) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _output_error(path, exc) from None
+
+
+def _format_cells(values: np.ndarray) -> list[str]:
+    """``repr`` of each float in *values*, formatting each distinct value once.
+
+    repr depends only on a float's bits, so the distinct int64 bit patterns
+    are formatted and gathered back through the inverse index. Taking the
+    unique over bits, not values, keeps -0.0 apart from 0.0.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    # Format the distinct values in the order of their first row, so the
+    # strings lie in memory in about row order: in sorted order, the row join
+    # reads them scattered and takes about twice as long on mostly distinct
+    # columns. Which row wins a repeated index here affects speed only.
+    first = np.empty(len(bits), dtype=np.intp)
+    first[inverse[::-1]] = np.arange(len(inverse) - 1, -1, -1)
+    order = np.argsort(first)
+    text = np.empty(len(bits), dtype=object)
+    text[order] = np.array([repr(x) for x in bits[order].view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def write_series_csv(
     sample_period: float, tables: list[tuple[Path, str, list[np.ndarray]]]
 ) -> None:
@@ -200,23 +252,32 @@ def write_series_csv(
 
     Cells are formatted column-wise in blocks of _WRITE_ROWS rows, so
     memory stays bounded by one block whatever the capture's length, and
-    the tables of one call share each block's time column.
+    the tables of one call share each block's time column. Within a block
+    each distinct value of a column is formatted once (_format_cells); a
+    quantized capture column holds only a few hundred to a few thousand
+    ADC levels, and each cell's text is still its repr. An OSError ends in
+    a one-line error naming the file being written.
     """
     n = len(tables[0][2][0])
     handles = []
     try:
         for path, header, _ in tables:
-            handles.append(path.open("w", encoding="ascii"))
+            handles.append(_open_output(path))
             handles[-1].write(header + "\n")
         for lo in range(0, n, _WRITE_ROWS):
             hi = min(lo + _WRITE_ROWS, n)
             times = [f"{k * sample_period:.6f}" for k in range(lo, hi)]
-            for fh, (_, _, columns) in zip(handles, tables):
-                cells = [times, *(map(repr, col[lo:hi].tolist()) for col in columns)]
+            for fh, (path, _, columns) in zip(handles, tables):
+                cells = [times, *(_format_cells(col[lo:hi]) for col in columns)]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for fh, (path, _, _) in zip(handles, tables):
+            fh.close()
+    except OSError as exc:
+        raise _output_error(path, exc) from None
     finally:
         for fh in handles:
-            fh.close()
+            with contextlib.suppress(OSError):  # already failing on another file
+                fh.close()
 
 
 def write_capture(
@@ -254,8 +315,6 @@ def write_capture(
 
     sample_period = run.rails[RAIL_ORDER[0]].sample_period
     sample_path, manifest_path = capture_paths(out_dir, run.run_id)
-    sample_path.parent.mkdir(parents=True, exist_ok=True)
-
     write_series_csv(sample_period, [(sample_path, SAMPLE_HEADER, columns)])
 
     manifest = {
@@ -271,9 +330,7 @@ def write_capture(
         "expected_marker_count": run.schedule.expected_marker_count,
         "calibration": to_wire(cal),
     }
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    write_text_output(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return sample_path, manifest_path
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line in process."""
 
+import errno
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -433,3 +435,76 @@ def test_undecodable_byte_names_the_file_and_offset(workdir, compared, tmp_path,
     message = _one_error_line(capsys)
     assert str(path) in message
     assert f"byte 0x{raw[offset]:02x} in position {offset}" in message
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze", "aggregate"])
+def test_a_second_run_into_the_same_out_writes_identical_bytes(
+    workdir, compared, tmp_path, command
+):
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--config", str(workdir.config)],
+        "analyze": ["analyze", str(workdir.sample)],
+        "aggregate": ["aggregate", str(compared / f"{STEM}.comparison.json")],
+    }[command] + ["--out", str(out)]
+    assert main(argv) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    for name, data in first.items():
+        (out / name).write_bytes(data + b"stale tail\n")  # longer than the rewrite
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_an_output_that_is_a_symlink_is_written_through(compared, tmp_path):
+    target = tmp_path / "elsewhere.json"
+    target.write_text("stale", encoding="ascii")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "aggregate.json").symlink_to(target)
+    assert main(["aggregate", str(compared / f"{STEM}.comparison.json"), "--out", str(out)]) == 0
+    assert (out / "aggregate.json").is_symlink()
+    assert target.read_bytes() == (compared / "aggregate.json").read_bytes()
+
+
+_BLOCKED_OUTPUTS = [
+    ("synth", "csv"), ("synth", "manifest.json"), ("synth", "truth.json"),
+    ("analyze", "analysis.json"), ("analyze", "plot.12v_mb.csv"),
+]
+
+
+def _argv_into(workdir, command: str, out: Path) -> list[str]:
+    first = ["synth", "--config", str(workdir.config)] if command == "synth" else [
+        "analyze", str(workdir.sample)
+    ]
+    return first + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("command, suffix", _BLOCKED_OUTPUTS)
+def test_an_output_path_that_is_a_directory_fails_in_one_line(
+    workdir, tmp_path, capsys, command, suffix
+):
+    out = tmp_path / "d"
+    blocked = out / f"{STEM}.{suffix}"
+    blocked.mkdir(parents=True)
+    assert main(_argv_into(workdir, command, out)) == 1
+    assert _one_error_line(capsys) == f"powertrace: {blocked}: Is a directory"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command, suffix", _BLOCKED_OUTPUTS)
+def test_a_full_disk_fails_in_one_line(workdir, tmp_path, capsys, command, suffix):
+    out = tmp_path / "d"
+    out.mkdir()
+    full = out / f"{STEM}.{suffix}"
+    full.symlink_to("/dev/full")  # every write fails with ENOSPC
+    assert main(_argv_into(workdir, command, out)) == 1
+    assert _one_error_line(capsys) == f"powertrace: {full}: No space left on device"
+
+
+def test_a_directory_that_cannot_be_made_fails_in_one_line(workdir, tmp_path, capsys):
+    out = tmp_path / "d"
+    denied = PermissionError(errno.EACCES, "Permission denied", str(out))
+    with mock.patch.object(Path, "mkdir", side_effect=denied):
+        assert main(["analyze", str(workdir.sample), "--out", str(out)]) == 1
+    report = out / f"{STEM}.analysis.json"
+    assert _one_error_line(capsys) == f"powertrace: {report}: {out}: Permission denied"

@@ -2,7 +2,9 @@
 
 synth -> analyze -> compare -> aggregate runs on a compact infected
 scenario; every JSON output is parsed and compared exactly with the
-files in tests/golden/. A refactor must leave these outputs unchanged.
+files in tests/golden/, and the sha256 of every capture and plot CSV
+with tests/golden/csv.sha256 (``sha256sum`` format). A refactor must
+leave these outputs unchanged.
 A change that alters them on purpose regenerates the files with::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -12,6 +14,7 @@ and names the fields that changed, and why, in CHANGES.md.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -36,10 +39,15 @@ SCENARIO = {
 }
 
 STEMS = ("golden-d1-s31", "golden-d2-s31")
+CSV_DIGESTS = GOLDEN_DIR / "csv.sha256"
 
 
-def run_round_trip(root: Path) -> dict[str, object]:
-    """Run the four subcommands under *root*; map golden file name -> parsed JSON."""
+def run_round_trip(root: Path) -> tuple[dict[str, object], str]:
+    """Run the four subcommands under *root*.
+
+    Returns golden file name -> parsed JSON, and the CSV outputs' digests
+    as ``sha256sum`` lines sorted by file name.
+    """
     config = root / "scenario.json"
     config.write_text(json.dumps(SCENARIO), encoding="ascii")
     captures, analysis, comparison, folded = (
@@ -65,25 +73,31 @@ def run_round_trip(root: Path) -> dict[str, object]:
         files[f"{stem}.comparison.json"] = comparison / f"{stem}.comparison.json"
     files["compare.aggregate.json"] = comparison / "aggregate.json"
     files["aggregate.json"] = folded / "aggregate.json"
-    return {name: json.loads(path.read_text()) for name, path in files.items()}
+    csvs = sorted([*captures.glob("*.csv"), *analysis.glob("*.csv")], key=lambda p: p.name)
+    digests = "".join(f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n" for p in csvs)
+    return {name: json.loads(path.read_text()) for name, path in files.items()}, digests
 
 
 def test_round_trip_matches_golden_files(tmp_path):
-    outputs = run_round_trip(tmp_path)
+    outputs, digests = run_round_trip(tmp_path)
     assert sorted(p.name for p in GOLDEN_DIR.glob("*.json")) == sorted(outputs)
     for name, produced in outputs.items():
         expected = json.loads((GOLDEN_DIR / name).read_text())
         assert produced == expected, f"{name} differs from tests/golden/{name}"
+    # 2 captures and 4 plot files for each
+    assert digests.splitlines() == CSV_DIGESTS.read_text(encoding="ascii").splitlines()
+    assert len(digests.splitlines()) == 10
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        outputs = run_round_trip(Path(tmp))
+        outputs, digests = run_round_trip(Path(tmp))
     GOLDEN_DIR.mkdir(exist_ok=True)
+    CSV_DIGESTS.write_text(digests, encoding="ascii")
     for name, payload in outputs.items():
         (GOLDEN_DIR / name).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
         )
-    print(f"wrote {len(outputs)} files to {GOLDEN_DIR}", file=sys.stderr)
+    print(f"wrote {len(outputs) + 1} files to {GOLDEN_DIR}", file=sys.stderr)

@@ -369,6 +369,40 @@ def test_writers_match_the_per_row_formatter_at_block_edges(tmp_path, n, units):
         )
 
 
+# Values whose text is easy to get wrong: signed zeros, the smallest subnormal,
+# another subnormal, the smallest normal, the largest magnitudes, short and long reprs.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3, -2.5, 1e16, 123456789.0]
+
+
+@st.composite
+def _small_alphabet_columns(draw):
+    """Columns of one length drawn from a small alphabet, in repeated runs."""
+    n = draw(st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
+    alphabet = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=6,
+    )))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        pattern = draw(st.lists(st.integers(0, len(alphabet) - 1), min_size=1, max_size=12))
+        run = draw(st.sampled_from([1, 2, 3, 100, CHUNK - 1, CHUNK + 1]))
+        columns.append(alphabet[np.resize(np.repeat(pattern, run), n)])
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=_small_alphabet_columns(), period=st.sampled_from([0.01, 0.001, 0.25]))
+@example(columns=[np.array([0.0, -0.0, -0.0, 0.0])], period=0.01)
+@example(columns=[np.array([5e-324, -5e-324, 1e308, -1e308, 1e-310])], period=0.01)
+def test_block_writer_matches_the_per_row_formatter_on_small_alphabets(
+    scratch_csv, columns, period
+):
+    header = ",".join(["t", *(f"c{j}" for j in range(len(columns)))])
+    ingest.write_series_csv(period, [(scratch_csv, header, columns)])
+    assert scratch_csv.read_bytes() == _reference_csv(header, period, columns)
+
+
 def _outcome(parse):
     try:
         data = parse()
