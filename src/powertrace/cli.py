@@ -37,7 +37,7 @@ from .ingest import (
     write_text_output,
 )
 from .ingest import read_capture as _read_capture
-from .model import RAIL_ORDER, CaptureRun, MachineState, PowerSeries, RailKind, to_wire
+from .model import RAIL_ORDER, CaptureRun, MachineState, PowerSeries, RailKind, to_wire, wire_scalar
 from .power import compute_power
 from .segment import MarkerParams, detect_markers, segment_events
 from .synth import generate_ensemble, ground_truth_to_json, load_scenario
@@ -160,7 +160,7 @@ class AnalyzedRun:
         self.powers: dict[RailKind, PowerSeries] = {
             rail: compute_power(trace) for rail, trace in run.rails.items()
         }
-        self.sample_period = run.rails[RAIL_ORDER[0]].sample_period
+        self.sample_period = run.sample_period
         self.markers = detect_markers(
             self.powers[marker_params.marker_rail],
             marker_params,
@@ -187,19 +187,20 @@ def _analysis_payload(analyzed: AnalyzedRun) -> dict:
     period = analyzed.sample_period
     segments = []
     for seg in analyzed.segments:
-        power = analyzed.powers[seg.rail].power[seg.start_index : seg.end_index]
-        segments.append(
-            {
-                "state": seg.state.wire_name,
-                "event": seg.event.wire_name,
-                "rail": seg.rail.wire_name,
-                "start_index": seg.start_index,
-                "end_index": seg.end_index,
-                "duration_s": seg.length * period,
-                "mean_power_w": float(power.mean()),
-                "max_power_w": float(power.max()),
-            }
-        )
+        for rail in RAIL_ORDER:
+            power = analyzed.powers[rail].power[seg.start_index : seg.end_index]
+            segments.append(
+                {
+                    "state": seg.state.wire_name,
+                    "event": seg.event.wire_name,
+                    "rail": rail.wire_name,
+                    "start_index": seg.start_index,
+                    "end_index": seg.end_index,
+                    "duration_s": seg.length * period,
+                    "mean_power_w": float(power.mean()),
+                    "max_power_w": float(power.max()),
+                }
+            )
     return {
         "run_id": run.run_id,
         "rootkit_label": run.rootkit_label,
@@ -234,26 +235,29 @@ def _write_plot_files(analyzed: AnalyzedRun, out_dir: Path, stem: str) -> list[P
 
 
 def _report_from_json(obj: dict, source: str) -> ComparisonReport:
+    def scalar(kind: type, key: str):
+        return wire_scalar(kind, obj[key], key, ValueError)
+
     try:
         if not isinstance(obj, dict):
             raise TypeError(f"expected an object, got {obj!r}")
         return ComparisonReport(
             kind=ComparisonKind(obj["kind"]),
             rail=RailKind(obj["rail"]),
-            baseline_median_w=float(obj["baseline_median_w"]),
-            suspect_median_w=float(obj["suspect_median_w"]),
-            delta_w=float(obj["delta_w"]),
+            baseline_median_w=scalar(float, "baseline_median_w"),
+            suspect_median_w=scalar(float, "suspect_median_w"),
+            delta_w=scalar(float, "delta_w"),
             relative_increase=(
                 None if obj.get("relative_increase") is None
-                else float(obj["relative_increase"])
+                else scalar(float, "relative_increase")
             ),
-            lag_s=float(obj["lag_s"]),
-            lag_samples=int(obj["lag_samples"]),
-            lag_zero_variance=bool(obj["lag_zero_variance"]),
-            baseline_spikes=int(obj["baseline_spikes"]),
-            suspect_spikes=int(obj["suspect_spikes"]),
+            lag_s=scalar(float, "lag_s"),
+            lag_samples=scalar(int, "lag_samples"),
+            lag_zero_variance=scalar(bool, "lag_zero_variance"),
+            baseline_spikes=scalar(int, "baseline_spikes"),
+            suspect_spikes=scalar(int, "suspect_spikes"),
             verdict=Verdict(obj["verdict"]),
-            noisy=bool(obj.get("noisy", False)),
+            noisy=wire_scalar(bool, obj.get("noisy", False), "noisy", ValueError),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PowerTraceError(f"{source}: malformed comparison report ({exc})") from None
@@ -377,7 +381,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         path = Path(report_file)
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad bytes or JSON
             return _fail(f"cannot read comparison report {path}: {exc}")
         if not isinstance(obj, dict) or not isinstance(obj.get("reports"), list):
             return _fail(f"{path}: missing 'reports' list")

@@ -380,16 +380,12 @@ def segment_power_pool(
     power_by_rail: dict[RailKind, np.ndarray],
     segments: list[EventSegment],
 ) -> SegmentPool:
-    """Slice per-rail power series into a (state, event, rail) lookup."""
-    pool: SegmentPool = {}
-    for seg in segments:
-        if seg.rail not in power_by_rail:
-            raise ComparisonError(f"no power series for rail {seg.rail.wire_name}")
-        series = power_by_rail[seg.rail]
-        pool[(seg.state, seg.event, seg.rail)] = np.asarray(
-            series[seg.start_index : seg.end_index], dtype=np.float64
-        )
-    return pool
+    """Slice each rail's power series by each segment into a (state, event, rail) lookup."""
+    return {
+        (seg.state, seg.event, rail): np.asarray(power[seg.start_index : seg.end_index], np.float64)
+        for seg in segments
+        for rail, power in power_by_rail.items()
+    }
 
 
 def run_canonical_comparisons(

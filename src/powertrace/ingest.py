@@ -29,10 +29,9 @@ from .model import (
     CaptureRun,
     EventKind,
     RailKind,
-    RailTrace,
     RunSchedule,
     to_wire,
-    validate_run,
+    wire_scalar,
 )
 
 SAMPLE_HEADER = "t_s,v_3v3,i_3v3,v_5v,i_5v,v_12v_mb,i_12v_mb,v_12v_cpu,i_12v_cpu"
@@ -85,6 +84,12 @@ class CalibrationConfig:
         """ADC step in raw volts: 2 * full_scale / 2^bits."""
         return 2.0 * self.adc_full_scale / (1 << self.adc_bits)
 
+    @property
+    def column_scales(self) -> np.ndarray:
+        """Engineering units per raw volt of each column of a run's sample table."""
+        pairs = (self.voltage_scale, self.current_scale)
+        return np.array([scales[rail] for rail in RAIL_ORDER for scales in pairs])
+
 
 def _quantize_array(raw: np.ndarray, lsb: float) -> np.ndarray:
     # Nearest lattice level, ties away from zero (0.5 offset before floor).
@@ -132,13 +137,6 @@ def manifest_path_for(sample_file: str | Path) -> Path:
     return p.with_name(p.stem + ".manifest.json")
 
 
-def _convert(convert, value, context: str):
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ManifestError(f"{context}: expected {convert.__name__}, got {value!r}") from None
-
-
 def _require_object(value, context: str) -> dict:
     if not isinstance(value, dict):
         raise ManifestError(f"{context}: expected a JSON object, got {type(value).__name__}")
@@ -158,7 +156,8 @@ def _calibration_from_json(obj: dict) -> CalibrationConfig:
                 rail = RailKind(rail_name)
             except ValueError:
                 raise ManifestError(f"calibration {name}: unknown rail name '{rail_name}'") from None
-            per_rail[rail] = _convert(float, value, f"calibration {name}[{rail_name}]")
+            context = f"calibration {name}[{rail_name}]"
+            per_rail[rail] = wire_scalar(float, value, context, ManifestError)
         for rail in RAIL_ORDER:
             if rail not in per_rail:
                 raise ManifestError(f"calibration {name}: missing rail {rail.wire_name}")
@@ -167,8 +166,10 @@ def _calibration_from_json(obj: dict) -> CalibrationConfig:
         return CalibrationConfig(
             voltage_scale=scales["voltage_scale"],
             current_scale=scales["current_scale"],
-            adc_bits=_convert(int, obj["adc_bits"], "calibration adc_bits"),
-            adc_full_scale=_convert(float, obj["adc_full_scale"], "calibration adc_full_scale"),
+            adc_bits=wire_scalar(int, obj["adc_bits"], "calibration adc_bits", ManifestError),
+            adc_full_scale=wire_scalar(
+                float, obj["adc_full_scale"], "calibration adc_full_scale", ManifestError
+            ),
         )
     except ValueError as exc:
         raise ManifestError(f"invalid calibration: {exc}") from None
@@ -293,35 +294,23 @@ def write_capture(
     """
     if units not in ("engineering", "raw"):
         raise ValueError(f"units must be 'engineering' or 'raw', got {units!r}")
-    violations = validate_run(run)
-    if violations:
-        raise ValueError("run fails validation: " + "; ".join(violations))
 
-    lsb = cal.lsb
     columns: list[np.ndarray] = []
-    for rail in RAIL_ORDER:
-        trace = run.rails[rail]
-        raw_v = trace.voltage / cal.voltage_scale[rail]
-        raw_i = trace.current / cal.current_scale[rail]
-        _check_adc_range(raw_v, cal, f"rail {rail.wire_name} voltage channel: ")
-        _check_adc_range(raw_i, cal, f"rail {rail.wire_name} current channel: ")
-        qv = _quantize_array(raw_v, lsb)
-        qi = _quantize_array(raw_i, lsb)
-        if units == "engineering":
-            qv = qv * cal.voltage_scale[rail]
-            qi = qi * cal.current_scale[rail]
-        columns.append(qv)
-        columns.append(qi)
+    for j, scale in enumerate(cal.column_scales):
+        raw = run.samples[:, j] / scale
+        channel = ("voltage", "current")[j % 2]
+        _check_adc_range(raw, cal, f"rail {RAIL_ORDER[j // 2].wire_name} {channel} channel: ")
+        quantized = _quantize_array(raw, cal.lsb)
+        columns.append(quantized * scale if units == "engineering" else quantized)
 
-    sample_period = run.rails[RAIL_ORDER[0]].sample_period
     sample_path, manifest_path = capture_paths(out_dir, run.run_id)
-    write_series_csv(sample_period, [(sample_path, SAMPLE_HEADER, columns)])
+    write_series_csv(run.sample_period, [(sample_path, SAMPLE_HEADER, columns)])
 
     manifest = {
         "run_id": run.run_id,
         "rootkit_label": run.rootkit_label,
         "dataset_index": run.dataset_index,
-        "sample_period_s": sample_period,
+        "sample_period_s": run.sample_period,
         "units": units,
         "schedule": [
             {"state": state.wire_name, "event": event.wire_name}
@@ -429,7 +418,7 @@ def _parse_sample_text(text: str) -> np.ndarray:
 
 
 def _check_timestamps(t: np.ndarray, sample_period: float) -> None:
-    # A function of its own, so the step arrays are freed before the rails are built.
+    # A function of its own, so the step arrays are freed before the run is built.
     if len(t) > 1:
         steps = np.diff(t)
         bad = np.abs(steps - sample_period) > 0.1 * sample_period
@@ -458,7 +447,7 @@ def read_capture(
         manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {manifest_file}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also nesting or int digits past a limit
         raise ManifestError(f"manifest is not valid JSON: {exc}") from None
     _require_object(manifest, "manifest")
 
@@ -482,35 +471,30 @@ def read_capture(
     if cal is None:
         cal = _calibration_from_json(manifest["calibration"])
     schedule = _schedule_from_json(manifest["schedule"])
-    if manifest["expected_marker_count"] != schedule.expected_marker_count:
+    marker_count = wire_scalar(
+        int, manifest["expected_marker_count"], "manifest expected_marker_count", ManifestError
+    )
+    if marker_count != schedule.expected_marker_count:
         raise ManifestError(
-            f"expected_marker_count {manifest['expected_marker_count']} != "
+            f"expected_marker_count {marker_count} != "
             f"2 x {len(schedule.entries)} schedule entries"
         )
-    sample_period = _convert(float, manifest["sample_period_s"], "manifest sample_period_s")
+    sample_period = wire_scalar(
+        float, manifest["sample_period_s"], "manifest sample_period_s", ManifestError
+    )
     if not sample_period > 0:
         raise ManifestError(f"sample_period_s must be positive, got {sample_period}")
+    labels = {
+        key: wire_scalar(kind, manifest[key], f"manifest {key}", ManifestError)
+        for key, kind in (("run_id", str), ("rootkit_label", str), ("dataset_index", int))
+    }
 
     data = _parse_sample_file(Path(sample_file))
     _check_timestamps(data[:, 0], sample_period)
-
-    rails: dict[RailKind, RailTrace] = {}
-    for j, rail in enumerate(RAIL_ORDER):
-        v = data[:, 1 + 2 * j]
-        i = data[:, 2 + 2 * j]
-        if units == "raw":
-            v = v * cal.voltage_scale[rail]
-            i = i * cal.current_scale[rail]
-        rails[rail] = RailTrace(rail=rail, voltage=v, current=i, sample_period=sample_period)
-
-    run = CaptureRun(
-        run_id=str(manifest["run_id"]),
-        rootkit_label=str(manifest["rootkit_label"]),
-        dataset_index=_convert(int, manifest["dataset_index"], "manifest dataset_index"),
-        rails=rails,
-        schedule=schedule,
-    )
-    violations = validate_run(run)
-    if violations:
-        raise ManifestError("capture fails validation: " + "; ".join(violations))
-    return run
+    samples = data[:, 1:] if units == "engineering" else data[:, 1:] * cal.column_scales
+    try:
+        return CaptureRun(
+            **labels, samples=samples, sample_period=sample_period, schedule=schedule
+        )
+    except ValueError as exc:
+        raise ManifestError(f"capture fails validation: {exc}") from None

@@ -1,14 +1,17 @@
 """Core domain types: rails, sampled traces, runs, schedules, and labels.
 
 All types are immutable after construction and safe to share across
-threads. Validation never raises here; :func:`validate_run` reports
-violations as data so that malformed runs can be inspected.
+threads. A CaptureRun checks its invariants when it is built.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -87,13 +90,19 @@ def to_wire(value):
     return value
 
 
-def _as_readonly_f64(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+def wire_scalar(kind: type, value, context: str, error: type[Exception]):
+    """*value*, decoded from JSON, as a *kind*: int, float, bool or str.
+
+    Types are checked, not coerced: an int is an int and not a bool, a
+    float is a finite int or float and not a bool. Anything else raises
+    *error* naming *context*.
+    """
+    if isinstance(value, bool) == (kind is bool):
+        if kind is float and isinstance(value, int) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if isinstance(value, kind) and (kind is not float or math.isfinite(value)):
+            return value
+    raise error(f"{context}: expected {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,17 +111,13 @@ class RailTrace:
 
     Timestamps are implicit: sample k occurs at ``k * sample_period``.
     Current may be negative (sensor noise around zero); nothing is clamped
-    at this layer.
+    at this layer. A run's traces are read-only views of its sample table.
     """
 
     rail: RailKind
     voltage: np.ndarray
     current: np.ndarray
     sample_period: float = DEFAULT_SAMPLE_PERIOD_S
-
-    def __post_init__(self):
-        object.__setattr__(self, "voltage", _as_readonly_f64(self.voltage))
-        object.__setattr__(self, "current", _as_readonly_f64(self.current))
 
     def __len__(self) -> int:
         return int(self.voltage.shape[0])
@@ -131,9 +136,6 @@ class PowerSeries:
     power: np.ndarray
     sample_period: float = DEFAULT_SAMPLE_PERIOD_S
     negative_samples: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "power", _as_readonly_f64(self.power))
 
     def __len__(self) -> int:
         return int(self.power.shape[0])
@@ -167,71 +169,47 @@ class RunSchedule:
 
 @dataclass(frozen=True)
 class CaptureRun:
-    """One recorded experiment: four rail traces plus labeling metadata."""
+    """One recorded experiment: a synchronously sampled table plus labels.
+
+    samples is a read-only float64 (n, 8) view of the table it is given,
+    in engineering units: column 2j holds the volts and column 2j + 1 the
+    amperes of rail RAIL_ORDER[j], all sampled every sample_period seconds.
+    rails maps each rail to a RailTrace of views into that table.
+    Construction raises ValueError naming every violated invariant.
+    """
 
     run_id: str
     rootkit_label: str
     dataset_index: int
-    rails: dict[RailKind, RailTrace]
+    samples: np.ndarray
+    sample_period: float = DEFAULT_SAMPLE_PERIOD_S
     schedule: RunSchedule = field(default_factory=RunSchedule.default)
+    rails: Mapping[RailKind, RailTrace] = field(init=False, repr=False, compare=False)
 
-    def trace(self, rail: RailKind) -> RailTrace:
-        return self.rails[rail]
-
-
-def validate_run(run: CaptureRun) -> list[str]:
-    """Collect every invariant violation in *run*; empty list means valid.
-
-    Pure and idempotent; never mutates or raises on bad data.
-    """
-    violations: list[str] = []
-
-    present = set(run.rails)
-    for kind in RAIL_ORDER:
-        if kind not in present:
-            violations.append(f"missing rail {kind.wire_name}")
-    for key in run.rails:
-        if not isinstance(key, RailKind):
-            violations.append(f"unknown rail key {key!r}")
-
-    reference: RailTrace | None = None
-    for kind in RAIL_ORDER:
-        trace = run.rails.get(kind)
-        if trace is None:
-            continue
-        w = kind.wire_name
-        if trace.rail is not kind:
-            violations.append(f"rail {w}: trace labeled {trace.rail.wire_name} stored under {w}")
-        if len(trace.voltage) != len(trace.current):
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=np.float64).view()
+        samples.setflags(write=False)
+        columns = 2 * len(RAIL_ORDER)
+        violations: list[str] = []
+        if samples.ndim != 2 or samples.shape[1] != columns or len(samples) == 0:
             violations.append(
-                f"rail {w}: voltage length {len(trace.voltage)} != current length {len(trace.current)}"
+                f"sample table has shape {samples.shape}, expected (n > 0, {columns})"
             )
-        if len(trace.voltage) == 0:
-            violations.append(f"rail {w}: empty trace")
-        if not trace.sample_period > 0:
-            violations.append(f"rail {w}: non-positive sample_period {trace.sample_period}")
-        if reference is None:
-            reference = trace
-        else:
-            if trace.sample_period != reference.sample_period:
-                violations.append(
-                    f"rail {w}: sample_period {trace.sample_period} differs from "
-                    f"{reference.sample_period} on rail {reference.rail.wire_name}"
-                )
-            if len(trace.voltage) != len(reference.voltage):
-                violations.append(
-                    f"rail {w}: length {len(trace.voltage)} differs from "
-                    f"{len(reference.voltage)} on rail {reference.rail.wire_name}"
-                )
-
-    if run.dataset_index < 1:
-        violations.append(f"dataset_index must be >= 1, got {run.dataset_index}")
-
-    entries = run.schedule.entries
-    for i in range(1, len(entries)):
-        if entries[i][0] < entries[i - 1][0]:
-            violations.append(f"schedule entries not ordered by machine state at position {i}")
-    if not entries:
-        violations.append("schedule has no entries")
-
-    return violations
+        if not self.sample_period > 0:
+            violations.append(f"non-positive sample_period {self.sample_period}")
+        if self.dataset_index < 1:
+            violations.append(f"dataset_index must be >= 1, got {self.dataset_index}")
+        entries = self.schedule.entries
+        for i in range(1, len(entries)):
+            if entries[i][0] < entries[i - 1][0]:
+                violations.append(f"schedule entries not ordered by machine state at position {i}")
+        if not entries:
+            violations.append("schedule has no entries")
+        if violations:
+            raise ValueError("; ".join(violations))
+        object.__setattr__(self, "samples", samples)
+        traces = {
+            rail: RailTrace(rail, samples[:, 2 * j], samples[:, 2 * j + 1], self.sample_period)
+            for j, rail in enumerate(RAIL_ORDER)
+        }
+        object.__setattr__(self, "rails", MappingProxyType(traces))

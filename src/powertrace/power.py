@@ -25,6 +25,7 @@ def compute_power(trace: RailTrace) -> PowerSeries:
             f"rail {trace.rail.wire_name}, sample {k}: non-finite power "
             f"{float(trace.voltage[k])!r} V x {float(trace.current[k])!r} A"
         )
+    power.setflags(write=False)
     negative = int(np.count_nonzero(power < 0.0))
     return PowerSeries(
         rail=trace.rail,
@@ -48,8 +49,3 @@ def windowed_means(values: np.ndarray, window_samples: int) -> np.ndarray:
     trimmed = values[: n_windows * window_samples]
     return trimmed.reshape(n_windows, window_samples).mean(axis=1)
 
-
-def power_summary(series: PowerSeries, window_s: float) -> np.ndarray:
-    """Windowed mean power in watts, left to right across the series."""
-    w = window_sample_count(window_s, series.sample_period)
-    return windowed_means(series.power, w)

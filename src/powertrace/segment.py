@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MarkerDetectionError, SegmentationError
-from .model import RAIL_ORDER, CaptureRun, EventKind, MachineState, PowerSeries, RailKind
+from .model import CaptureRun, EventKind, MachineState, PowerSeries, RailKind
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,10 @@ class Marker:
 
 @dataclass(frozen=True)
 class EventSegment:
-    """Samples belonging to one scheduled event on one rail, [start, end)."""
+    """Samples belonging to one scheduled event on every rail, [start, end)."""
 
     state: MachineState
     event: EventKind
-    rail: RailKind
     start_index: int
     end_index: int
 
@@ -193,8 +192,8 @@ def segment_events(run: CaptureRun, markers: list[Marker]) -> list[EventSegment]
     """Cut a run into per-event sample ranges using its detected markers.
 
     Event k occupies the span between the end of marker 2k and the start
-    of marker 2k+1. Segments are returned schedule-major, replicated over
-    all rails (the rails are sampled synchronously, so indices coincide).
+    of marker 2k+1. One segment per schedule entry, in schedule order: the
+    rails are sampled synchronously, so its indices hold on every rail.
     """
     entries = run.schedule.entries
     expected = run.schedule.expected_marker_count
@@ -213,8 +212,5 @@ def segment_events(run: CaptureRun, markers: list[Marker]) -> list[EventSegment]
                 f"empty segment for {state.wire_name}/{event.wire_name}: "
                 f"markers {2 * k} and {2 * k + 1} leave no samples between them"
             )
-        for rail in RAIL_ORDER:
-            segments.append(
-                EventSegment(state=state, event=event, rail=rail, start_index=start, end_index=end)
-            )
+        segments.append(EventSegment(state=state, event=event, start_index=start, end_index=end))
     return segments

@@ -30,8 +30,8 @@ from .model import (
     EventKind,
     MachineState,
     RailKind,
-    RailTrace,
     RunSchedule,
+    wire_scalar,
 )
 
 # The stress script hammers the CPU, so markers land on the CPU 12V rail.
@@ -263,8 +263,8 @@ def generate_run(
         spike_indices[(state, event)] = tuple(sorted(int(o) + body_start for o in offsets))
 
     applied_deltas: dict[tuple[MachineState, EventKind, RailKind], float] = {}
-    rails: dict[RailKind, RailTrace] = {}
-    for rail in RAIL_ORDER:
+    samples = np.empty((total, 2 * len(RAIL_ORDER)))
+    for j, rail in enumerate(RAIL_ORDER):
         power = np.empty(total, dtype=np.float64)
         for (state, event), (entry_start, entry_end) in zip(schedule.entries, entry_regions):
             power[entry_start:entry_end] = config.baseline_power[rail][event]
@@ -298,14 +298,15 @@ def generate_run(
         voltage = RAIL_NOMINAL_VOLTAGE[rail] + rng.normal(
             0.0, config.voltage_noise_sigma, total
         )
-        current = power / voltage
-        rails[rail] = RailTrace(rail=rail, voltage=voltage, current=current, sample_period=period)
+        samples[:, 2 * j] = voltage
+        samples[:, 2 * j + 1] = power / voltage
 
     run = CaptureRun(
         run_id=f"{config.rootkit_label}-d{dataset_index}-s{config.seed}",
         rootkit_label=config.rootkit_label,
         dataset_index=dataset_index,
-        rails=rails,
+        samples=samples,
+        sample_period=period,
         schedule=schedule,
     )
     truth = GroundTruth(
@@ -353,17 +354,12 @@ def generate_ensemble(
 _SCALAR_TYPES = {"int": int, "float": float, "str": str}
 
 
-def _convert(convert, value, context: str):
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ScenarioConfigError(f"{context}: expected {convert.__name__}, got {value!r}") from None
-
-
 def _scalar_fields(cls, obj: dict, context: str) -> dict:
     """Converted values of the int, float and str fields of *cls* present in *obj*."""
     return {
-        f.name: _convert(_SCALAR_TYPES[f.type], obj[f.name], f"{context}.{f.name}")
+        f.name: wire_scalar(
+            _SCALAR_TYPES[f.type], obj[f.name], f"{context}.{f.name}", ScenarioConfigError
+        )
         for f in dataclasses.fields(cls)
         if f.type in _SCALAR_TYPES and f.name in obj
     }
@@ -389,7 +385,9 @@ def _rail_event_table(
                 raise ScenarioConfigError(
                     f"{context}[{rail_name}]: unknown event '{event_name}'"
                 ) from None
-            table[rail][event] = _convert(float, value, f"{context}[{rail_name}][{event_name}]")
+            table[rail][event] = wire_scalar(
+                float, value, f"{context}[{rail_name}][{event_name}]", ScenarioConfigError
+            )
     return table
 
 
@@ -437,7 +435,8 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect 
                 rail = RailKind(rail_name)
             except ValueError:
                 raise ScenarioConfigError(f"noise_sigma: unknown rail '{rail_name}'") from None
-            sigma[rail] = _convert(float, value, f"noise_sigma[{rail_name}]")
+            context = f"noise_sigma[{rail_name}]"
+            sigma[rail] = wire_scalar(float, value, context, ScenarioConfigError)
         kwargs["noise_sigma"] = sigma
     if "infection" in obj:
         kwargs["infection"] = _infection_from_json(obj["infection"])
@@ -462,7 +461,7 @@ def load_scenario(path: str | Path) -> tuple[ScenarioConfig, list[InfectionEffec
         raise ScenarioConfigError(f"cannot read scenario file {path}: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also nesting or int digits past a limit
         raise ScenarioConfigError(f"scenario file is not valid JSON: {exc}") from None
     return scenario_from_dict(obj)
 

@@ -17,7 +17,6 @@ from powertrace import (
     EventKind,
     MarkerParams,
     RailKind,
-    RailTrace,
     ScenarioConfig,
 )
 from powertrace.cli import AnalyzedRun
@@ -45,12 +44,11 @@ def idle_delta(watts: float, rail: RailKind = RailKind.RAIL_12V_MB):
 
 def random_run(rng: np.random.Generator, n: int = 1500, run_id: str = "rand") -> CaptureRun:
     """Random but valid run; values stay well inside the ADC input range."""
-    rails = {}
-    for rail in RAIL_ORDER:
-        voltage = RAIL_NOMINAL_VOLTAGE[rail] + rng.normal(0.0, 0.05, n)
-        current = rng.uniform(0.0, 6.0, n)
-        rails[rail] = RailTrace(rail=rail, voltage=voltage, current=current)
-    return CaptureRun(run_id=run_id, rootkit_label="rand", dataset_index=1, rails=rails)
+    samples = np.empty((n, 2 * len(RAIL_ORDER)))
+    for j, rail in enumerate(RAIL_ORDER):
+        samples[:, 2 * j] = RAIL_NOMINAL_VOLTAGE[rail] + rng.normal(0.0, 0.05, n)
+        samples[:, 2 * j + 1] = rng.uniform(0.0, 6.0, n)
+    return CaptureRun(run_id=run_id, rootkit_label="rand", dataset_index=1, samples=samples)
 
 
 def analyze_pool(run: CaptureRun, params: MarkerParams | None = None) -> SegmentPool:

@@ -266,6 +266,10 @@ def test_aggregate_rejects_non_object_reports(tmp_path, capsys, payload, message
         ({"seed": 1, "infection": {"lag_s": "x"}}, "infection.lag_s: expected float"),
         ({"seed": 1, "noise_sigma": {"5v": "x"}}, "noise_sigma[5v]: expected float"),
         ({"seed": 1, "baseline_power": 5}, "baseline_power must be an object"),
+        ({"seed": True}, "scenario.seed: expected int, got True"),
+        ({"seed": 1.5}, "scenario.seed: expected int, got 1.5"),
+        ({"seed": 1, "idle_duration": float("inf")}, "scenario.idle_duration: expected float"),
+        ({"seed": 1, "rootkit_label": 5}, "scenario.rootkit_label: expected str, got 5"),
     ],
 )
 def test_bad_scenario_value_fails_cleanly(tmp_path, capsys, scenario, message):
@@ -275,17 +279,76 @@ def test_bad_scenario_value_fails_cleanly(tmp_path, capsys, scenario, message):
     assert message in _one_error_line(capsys)
 
 
-@pytest.mark.parametrize(
-    "key, value", [("dataset_index", "x"), ("sample_period_s", "x"), ("dataset_index", None)]
-)
-def test_bad_manifest_scalar_fails_cleanly(workdir, tmp_path, capsys, key, value):
+def _edited_capture(workdir, tmp_path, **fields):
+    """A copy of the CLI capture whose manifest has *fields* set."""
     sample = tmp_path / f"{STEM}.csv"
     sample.write_bytes(workdir.sample.read_bytes())
     manifest = json.loads((workdir.captures / f"{STEM}.manifest.json").read_text())
-    manifest[key] = value
+    manifest.update(fields)
     (tmp_path / f"{STEM}.manifest.json").write_text(json.dumps(manifest))
+    return sample
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dataset_index", "x"), ("sample_period_s", "x"), ("dataset_index", None),
+     ("dataset_index", 2.7), ("dataset_index", True), ("run_id", 5),
+     ("expected_marker_count", 18.0)],
+)
+def test_bad_manifest_scalar_fails_cleanly(workdir, tmp_path, capsys, key, value):
+    sample = _edited_capture(workdir, tmp_path, **{key: value})
     assert main(["analyze", str(sample), "--out", str(tmp_path)]) == 1
     assert f"manifest {key}: expected" in _one_error_line(capsys)
+
+
+_PRE_IDLE = {"state": "pre_infection", "event": "idle"}
+_POST_IDLE = {"state": "post_infection", "event": "idle"}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"dataset_index": 0}, "dataset_index must be >= 1, got 0"),
+        ({"schedule": [], "expected_marker_count": 0}, "schedule has no entries"),
+        ({"schedule": [_POST_IDLE, _PRE_IDLE], "expected_marker_count": 4},
+         "schedule entries not ordered by machine state at position 1"),
+    ],
+)
+def test_manifest_breaking_a_run_invariant_fails_in_one_line(
+    workdir, tmp_path, capsys, fields, message
+):
+    sample = _edited_capture(workdir, tmp_path, **fields)
+    assert main(["analyze", str(sample), "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {sample}: capture fails validation: {message}"
+    )
+
+
+def _report_with(compared, tmp_path, key: str, token: str):
+    """The CLI comparison file with the first report's *key* set to the JSON *token*."""
+    payload = json.loads((compared / f"{STEM}.comparison.json").read_text())
+    payload["reports"][0][key] = "@TOKEN@"
+    path = tmp_path / "edited.comparison.json"
+    path.write_text(json.dumps(payload).replace('"@TOKEN@"', token), encoding="ascii")
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, token",
+    [("lag_samples", "1e999"), ("lag_samples", "2.7"), ("noisy", '"false"'),
+     ("lag_zero_variance", '"false"'), ("baseline_spikes", "true"), ("delta_w", "NaN"),
+     ("suspect_median_w", "-Infinity")],
+)
+def test_aggregate_rejects_an_inexact_report_scalar(compared, tmp_path, capsys, key, token):
+    path = _report_with(compared, tmp_path, key, token)
+    assert main(["aggregate", str(path), "--out", str(tmp_path)]) == 1
+    assert f"{path}: malformed comparison report ({key}: expected " in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key, token", [("delta_w", "0"), ("lag_s", "0"), ("noisy", "false")])
+def test_aggregate_reads_well_formed_report_scalars(compared, tmp_path, key, token):
+    path = _report_with(compared, tmp_path, key, token)
+    assert main(["aggregate", str(path), "--out", str(tmp_path)]) == 0
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from powertrace import (
     RailTrace,
     RunSchedule,
     generate_run,
-    validate_run,
 )
 from powertrace.model import STATE_BY_WIRE
 
@@ -56,9 +55,14 @@ def test_trace_duration_is_count_times_period():
 
 
 def test_trace_arrays_are_read_only():
-    trace = RailTrace(rail=RailKind.RAIL_5V, voltage=[5.0, 5.0], current=[1.0, 1.0])
+    samples = np.ones((10, 2 * len(RAIL_ORDER)))
+    run = _tiny_run(samples=samples)
+    assert samples.flags.writeable  # the run holds a read-only view, not the caller's array
+    trace = run.rails[RailKind.RAIL_5V]
     with pytest.raises(ValueError):
         trace.voltage[0] = 0.0
+    with pytest.raises(TypeError):
+        run.rails[RailKind.RAIL_5V] = trace
 
 
 def test_default_schedule_is_nine_entries_eighteen_markers():
@@ -77,54 +81,39 @@ def test_schedule_marker_count_defaults_to_twice_entries():
 
 
 def test_validate_run_accepts_generated_run():
-    run, _ = generate_run(compact_scenario(seed=3))
-    assert validate_run(run) == []
+    run, truth = generate_run(compact_scenario(seed=3))
+    assert run.samples.shape == (truth.sample_count, 2 * len(RAIL_ORDER))
+    assert not run.samples.flags.writeable
+    for j, rail in enumerate(RAIL_ORDER):
+        trace = run.rails[rail]
+        assert trace.rail is rail and trace.sample_period == run.sample_period
+        assert np.shares_memory(trace.voltage, run.samples)
+        assert np.array_equal(trace.voltage, run.samples[:, 2 * j])
+        assert np.array_equal(trace.current, run.samples[:, 2 * j + 1])
 
 
 def _tiny_run(**overrides) -> CaptureRun:
-    rails = {
-        rail: RailTrace(rail=rail, voltage=np.full(10, RAIL_NOMINAL_VOLTAGE[rail]),
-                        current=np.ones(10))
-        for rail in RAIL_ORDER
-    }
-    kwargs = dict(run_id="t", rootkit_label="t", dataset_index=1, rails=rails)
+    row = [value for rail in RAIL_ORDER for value in (RAIL_NOMINAL_VOLTAGE[rail], 1.0)]
+    samples = np.tile(row, (10, 1))
+    kwargs = dict(run_id="t", rootkit_label="t", dataset_index=1, samples=samples)
     kwargs.update(overrides)
     return CaptureRun(**kwargs)
 
 
-def test_validate_run_reports_missing_rail():
-    run = _tiny_run()
-    del run.rails[RailKind.RAIL_5V]
-    assert any("missing rail 5v" in v for v in validate_run(run))
+@pytest.mark.parametrize("shape", [(0, 8), (10, 7), (10,), (2, 10, 8)])
+def test_capture_run_rejects_a_table_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"sample table has shape .*, expected \(n > 0, 8\)"):
+        _tiny_run(samples=np.ones(shape))
 
 
-def test_validate_run_reports_mislabeled_trace():
-    run = _tiny_run()
-    wrong = RailTrace(rail=RailKind.RAIL_3V3, voltage=np.full(10, 5.0), current=np.ones(10))
-    run.rails[RailKind.RAIL_5V] = wrong
-    assert any("labeled 3v3" in v for v in validate_run(run))
-
-
-def test_validate_run_reports_length_mismatch():
-    run = _tiny_run()
-    run.rails[RailKind.RAIL_5V] = RailTrace(
-        rail=RailKind.RAIL_5V, voltage=np.full(10, 5.0), current=np.ones(9)
-    )
-    violations = validate_run(run)
-    assert any("voltage length 10 != current length 9" in v for v in violations)
-
-
-def test_validate_run_reports_cross_rail_length_difference():
-    run = _tiny_run()
-    run.rails[RailKind.RAIL_12V_CPU] = RailTrace(
-        rail=RailKind.RAIL_12V_CPU, voltage=np.full(8, 12.0), current=np.ones(8)
-    )
-    assert any("differs from" in v for v in validate_run(run))
+def test_capture_run_rejects_non_positive_sample_period():
+    with pytest.raises(ValueError, match="non-positive sample_period 0.0"):
+        _tiny_run(sample_period=0.0)
 
 
 def test_validate_run_reports_bad_dataset_index():
-    run = _tiny_run(dataset_index=0)
-    assert any("dataset_index" in v for v in validate_run(run))
+    with pytest.raises(ValueError, match="dataset_index must be >= 1, got 0"):
+        _tiny_run(dataset_index=0)
 
 
 def test_validate_run_reports_disordered_schedule():
@@ -132,10 +121,15 @@ def test_validate_run_reports_disordered_schedule():
         (MachineState.POST_INFECTION, EventKind.IDLE),
         (MachineState.PRE_INFECTION, EventKind.IDLE),
     ))
-    run = _tiny_run(schedule=sched)
-    assert any("not ordered" in v for v in validate_run(run))
+    with pytest.raises(ValueError, match="not ordered by machine state at position 1"):
+        _tiny_run(schedule=sched)
 
 
 def test_validate_run_reports_empty_schedule():
-    run = _tiny_run(schedule=RunSchedule(entries=()))
-    assert any("no entries" in v for v in validate_run(run))
+    with pytest.raises(ValueError, match="schedule has no entries"):
+        _tiny_run(schedule=RunSchedule(entries=()))
+
+
+def test_capture_run_names_every_violation():
+    with pytest.raises(ValueError, match="dataset_index .*; schedule has no entries"):
+        _tiny_run(dataset_index=0, schedule=RunSchedule(entries=()))

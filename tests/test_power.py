@@ -5,11 +5,9 @@ import pytest
 
 from powertrace import (
     PowerComputationError,
-    PowerSeries,
     RailKind,
     RailTrace,
     compute_power,
-    power_summary,
     window_sample_count,
     windowed_means,
 )
@@ -17,7 +15,10 @@ from powertrace import (
 
 def _trace(voltage, current, period=0.010):
     return RailTrace(
-        rail=RailKind.RAIL_12V_MB, voltage=voltage, current=current, sample_period=period
+        rail=RailKind.RAIL_12V_MB,
+        voltage=np.asarray(voltage, dtype=np.float64),
+        current=np.asarray(current, dtype=np.float64),
+        sample_period=period,
     )
 
 
@@ -78,7 +79,7 @@ def test_non_finite_power_names_rail_and_sample(voltage, current, sample):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PowerComputationError, match=f"rail 12v_mb, sample {sample}: non-finite"):
-            compute_power(_trace(np.array(voltage), np.array(current)))
+            compute_power(_trace(voltage, current))
 
 
 def test_window_sample_count_floors_with_minimum_one():
@@ -99,18 +100,6 @@ def test_windowed_means_drops_trailing_partial():
 
 def test_windowed_means_empty_input():
     assert windowed_means(np.empty(0), 10).size == 0
-
-
-def test_power_summary_constant_series():
-    series = PowerSeries(rail=RailKind.RAIL_5V, power=np.full(450, 5.0))
-    out = power_summary(series, 1.0)
-    assert out.shape == (4,)
-    assert np.all(out == 5.0)
-
-
-def test_power_summary_window_count_on_thirty_seconds():
-    series = PowerSeries(rail=RailKind.RAIL_5V, power=np.arange(3000, dtype=float))
-    assert power_summary(series, 1.0).shape == (30,)
 
 
 def test_mean_of_windowed_means_matches_prefix_mean():

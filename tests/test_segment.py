@@ -17,6 +17,7 @@ from powertrace import (
     detect_markers,
     generate_run,
     segment_events,
+    segment_power_pool,
     smooth_series,
 )
 
@@ -172,7 +173,7 @@ def test_segment_events_recovers_ground_truth_spans():
     run, truth = generate_run(cfg)
     markers = detect_markers(_cpu_power(run))
     segments = segment_events(run, markers)
-    assert len(segments) == 36
+    assert len(segments) == 9
     for seg in segments:
         start, end = truth.events[(seg.state, seg.event)]
         assert seg.start_index == start
@@ -182,10 +183,17 @@ def test_segment_events_recovers_ground_truth_spans():
 def test_segments_replicated_across_rails_in_schedule_order():
     run, _ = generate_run(compact_scenario(seed=10))
     segments = segment_events(run, detect_markers(_cpu_power(run)))
-    assert [seg.rail for seg in segments[:4]] == list(RAIL_ORDER)
+    assert [(s.state, s.event) for s in segments] == list(run.schedule.entries)
     assert segments[0].state is MachineState.PRE_INFECTION
-    entry_keys = [(s.state, s.event) for s in segments[::4]]
-    assert entry_keys == list(run.schedule.entries)
+    powers = {rail: compute_power(trace).power for rail, trace in run.rails.items()}
+    pool = segment_power_pool(powers, segments)
+    assert list(pool) == [
+        (state, event, rail) for state, event in run.schedule.entries for rail in RAIL_ORDER
+    ]
+    for seg in segments:
+        for rail in RAIL_ORDER:
+            window = powers[rail][seg.start_index : seg.end_index]
+            assert np.array_equal(pool[(seg.state, seg.event, rail)], window)
 
 
 def test_segments_never_overlap_markers():
