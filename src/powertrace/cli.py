@@ -374,9 +374,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _first_difference(first: object, other: object) -> str:
+    """The first key, in sorted order, on which two files' params differ."""
+    if not (isinstance(first, dict) and isinstance(other, dict)):
+        return "params"
+    both = first.keys() & other.keys()
+    return min(k for k in first.keys() | other.keys() if k not in both or first[k] != other[k])
+
+
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     out_dir = _output_dir(args.out)
     dataset_reports: list[list[ComparisonReport]] = []
+    first_path = first_params = None
     for report_file in args.reports:
         path = Path(report_file)
         try:
@@ -385,6 +394,11 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             return _fail(f"cannot read comparison report {path}: {exc}")
         if not isinstance(obj, dict) or not isinstance(obj.get("reports"), list):
             return _fail(f"{path}: missing 'reports' list")
+        if first_path is None:
+            first_path, first_params = path, obj.get("params")
+        elif obj.get("params") != first_params:
+            key = _first_difference(first_params, obj.get("params"))
+            return _fail(f"{path}: params differ from those of {first_path}, first at '{key}'")
         dataset_reports.append(
             [_report_from_json(entry, str(path)) for entry in obj["reports"]]
         )

@@ -91,8 +91,8 @@ class CompareParams:
 
     def __post_init__(self):
         for name in ("window", "rel_threshold", "abs_threshold", "spike_k", "spike_window"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 < self.max_lag <= 0.5:
             raise ValueError(f"max_lag must be in (0, 0.5], got {self.max_lag}")
 
@@ -239,59 +239,44 @@ def _rolling_median_mad(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndar
     """Median and MAD of the window around each sample, as np.median gives them.
 
     The window holds w = min(window, n) samples, (w - 1) // 2 before the
-    sample and w // 2 after it, and shrinks at the series' edges. Each
-    window is sorted once, and its median is its middle value, or (a + b) / 2
-    of its two middle values. In a sorted window S with median m, the k
-    values nearest m form a contiguous run, so the k-th smallest |S - m| is
-    min over lo of max(m - S[lo], S[lo + k - 1] - m). Rounded differences
-    are monotone in S, so this picks the same deviations np.median does.
+    sample and w // 2 after it, and shrinks at the series' edges. Each window
+    is sorted once, as a row S of one (n, w) matrix of the series padded with
+    +inf, so a window of L values sorts them first. Its median m is S[lo] or
+    (S[lo] + S[hi]) / 2, with lo, hi = (L - 1) // 2, L // 2. The k nearest
+    values form a run of S, so the k-th smallest |S - m| is min over j in
+    [0, L - k] of max(m - S[j], S[j + k - 1] - m). Rounded differences are
+    monotone, so the first term never rises with j and the second never
+    falls: the minimum is at their crossing or just before it. One binary
+    search finds the crossings of rank lo + 1 and, for an even L, hi + 1.
     """
     n = len(x)
     w = min(window, n)
     before, after = (w - 1) // 2, w // 2
-    med = np.empty(n)
-    mad = np.empty(n)
-
-    # Full windows. Row j of dev holds the j-th smallest value of every
-    # window, less the window's median; rows before and after are the
-    # middle ones.
-    dev = np.ascontiguousarray(np.sort(sliding_window_view(x, w), axis=1).T)
-    full_med = dev[before].copy() if before == after else (dev[before] + dev[after]) / 2
-    dev -= full_med
-
-    def kth_deviation(k: int) -> np.ndarray:
-        return np.maximum(-dev[: w - k + 1], dev[k - 1 :]).min(axis=0)
-
-    full_mad = kth_deviation(before + 1)
-    if before != after:
-        full_mad = (full_mad + kth_deviation(after + 1)) / 2
-    med[before : n - after] = full_med
-    mad[before : n - after] = full_mad
-
-    # The 2 * (w - 1) shrinking edge windows, in one batch: padding the
-    # series with +inf keeps each w wide, with its own values sorted first.
-    edge = np.r_[0:before, n - after : n]
-    if len(edge) == 0:
-        return med, mad
     padded = np.concatenate((np.full(before, np.inf), x, np.full(after, np.inf)))
-    rows = np.sort(sliding_window_view(padded, w)[edge], axis=1)
-    length = np.minimum(n, edge + after + 1) - np.maximum(0, edge - before)
+    flat = np.sort(sliding_window_view(padded, w), axis=1).reshape(-1)
+    at = np.arange(n)
+    length = np.minimum(n, at + after + 1) - np.maximum(0, at - before)
     lo, hi = (length - 1) // 2, length // 2
-    at = np.arange(len(edge))
-    edge_med = np.where(lo == hi, rows[at, lo], (rows[at, lo] + rows[at, hi]) / 2)
-    rows -= edge_med[:, None]
-    # A shrinking window is shorter than w, so lo + k - 1 stays below w;
-    # the padding's infinite deviations rule out runs that reach it.
-    starts = np.arange(w // 2 + 1)
+    even = np.flatnonzero(lo != hi)
+    med = flat[at * w + lo]
+    med[even] = (med[even] + flat[even * w + hi[even]]) / 2
 
-    def kth_edge_deviation(k: np.ndarray) -> np.ndarray:
-        ends = np.take_along_axis(rows, starts + k[:, None] - 1, axis=1)
-        return np.maximum(-rows[:, : len(starts)], ends).min(axis=1)
-
-    d_lo = kth_edge_deviation(lo + 1)
-    edge_mad = np.where(lo == hi, d_lo, (d_lo + kth_edge_deviation(hi + 1)) / 2)
-    med[edge] = edge_med
-    mad[edge] = edge_mad
+    # In flat, j runs from a row's start to last = start + L - k; span = k - 1.
+    # A probe past last reads last: j passes last only when no crossing is in
+    # range, and both candidates then clamp to last, where the minimum is.
+    row = np.concatenate((at, even))
+    span, m = np.concatenate((lo, hi[even])), med[row]
+    start = j = row * w
+    last = start + length[row] - span - 1
+    step = 1 << int((last - start).max() + 1).bit_length() - 1
+    while step:
+        probe = np.minimum(j + step - 1, last)
+        j = j + step * (flat[probe + span] - m < m - flat[probe])
+        step >>= 1
+    i = np.stack((np.clip(j - 1, start, last), np.minimum(j, last)))
+    d = np.maximum(m - flat[i], flat[i + span] - m).min(axis=0)
+    mad = d[:n]
+    mad[even] = (mad[even] + d[n:]) / 2
     return med, mad
 
 
@@ -305,7 +290,7 @@ def detect_spikes(
     x = np.asarray(power, dtype=np.float64)
     if len(x) == 0:
         return 0
-    w = max(1, int(round(spike_window / sample_period)))
+    w = max(1, int(round(min(spike_window / sample_period, len(x)))))
     med, mad = _rolling_median_mad(x, w)
     thresh = med + spike_k * np.maximum(mad, MAD_FLOOR_W)
     exceed = x > thresh
@@ -336,7 +321,7 @@ def classify_increment(
             raise ComparisonError(
                 f"{side} sample {int(bad[0])} is not finite ({float(series[bad[0]])!r})"
             )
-    wsamp = window_sample_count(params.window, sample_period)
+    wsamp = window_sample_count(params.window, sample_period, len(a))
     means_a = windowed_means(a, wsamp)
     means_b = windowed_means(b, wsamp)
     if len(means_a) == 0 or len(means_b) == 0:

@@ -35,9 +35,9 @@ def compute_power(trace: RailTrace) -> PowerSeries:
     )
 
 
-def window_sample_count(window_s: float, sample_period: float) -> int:
-    """Samples per window: rounded down to a whole multiple, minimum 1."""
-    return max(1, int(np.floor(window_s / sample_period)))
+def window_sample_count(window_s: float, sample_period: float, n: int) -> int:
+    """Samples per window: rounded down to a whole multiple, from 1 to n + 1."""
+    return max(1, int(np.floor(min(window_s / sample_period, n + 1))))
 
 
 def windowed_means(values: np.ndarray, window_samples: int) -> np.ndarray:

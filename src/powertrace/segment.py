@@ -35,16 +35,16 @@ class MarkerParams:
     max_duration: float = 8.0
 
     def __post_init__(self):
-        if not self.smooth_window > 0:
-            raise ValueError(f"smooth_window must be positive, got {self.smooth_window}")
+        if not 0 < self.smooth_window < np.inf:
+            raise ValueError(f"smooth_window must be positive and finite, got {self.smooth_window}")
         if not 0.0 < self.lo_fraction < self.hi_fraction < 1.0:
             raise ValueError(
                 f"need 0 < lo_fraction < hi_fraction < 1, got "
                 f"lo={self.lo_fraction}, hi={self.hi_fraction}"
             )
-        if not 0 < self.min_duration < self.max_duration:
+        if not 0 < self.min_duration < self.max_duration < np.inf:
             raise ValueError(
-                f"need 0 < min_duration < max_duration, got "
+                f"need 0 < min_duration < max_duration < inf, got "
                 f"min={self.min_duration}, max={self.max_duration}"
             )
 
@@ -137,10 +137,10 @@ def detect_markers(
     raw = series.power
     n = len(raw)
     period = series.sample_period
-    min_samples = int(round((params.smooth_window + params.max_duration) / period))
-    if n < min_samples:
+    need_s = params.smooth_window + params.max_duration
+    if n < np.round(need_s / period):
         raise MarkerDetectionError(
-            f"series too short for detection: {n} samples, need at least {min_samples}"
+            f"series too short for detection: {n * period:g} s, need at least {need_s:g} s"
         )
 
     w = max(1, int(round(params.smooth_window / period)))

@@ -351,6 +351,61 @@ def test_aggregate_reads_well_formed_report_scalars(compared, tmp_path, key, tok
     assert main(["aggregate", str(path), "--out", str(tmp_path)]) == 0
 
 
+def test_aggregate_rejects_a_fold_with_different_params(compared, tmp_path, capsys):
+    report = compared / f"{STEM}.comparison.json"
+    copy = tmp_path / "copy.comparison.json"
+    copy.write_bytes(report.read_bytes())
+    assert main(["aggregate", str(report), str(copy), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+    payload = json.loads(report.read_text())
+    payload["params"]["spike_k"] = 5.0
+    payload["params"]["window"] = 2.0
+    other = tmp_path / "other.comparison.json"
+    other.write_text(json.dumps(payload), encoding="ascii")
+    assert main(["aggregate", str(report), str(other), "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {other}: params differ from those of {report}, first at 'spike_k'"
+    )
+
+
+_OVERFLOWING_FLAGS = [
+    ("--window", "1e308", "segment shorter than one 1e+308 s window"),
+    ("--window", "inf", "window must be positive and finite, got inf"),
+    ("--spike-window", "1e308", None),
+    ("--smooth-window", "1e308", "need at least 1e+308 s"),
+    ("--smooth-window", "1e300", "need at least 1e+300 s"),
+    ("--max-duration", "inf", "need 0 < min_duration < max_duration < inf"),
+    ("--max-duration", "1e308", "need at least 1e+308 s"),
+    ("--spike-k", "inf", "spike_k must be positive and finite, got inf"),
+    ("--abs-threshold", "inf", "abs_threshold must be positive and finite, got inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message", _OVERFLOWING_FLAGS, ids=[f"{f}={v}" for f, v, _ in _OVERFLOWING_FLAGS]
+)
+def test_a_flag_that_overflows_a_sample_count_ends_cleanly(
+    workdir, tmp_path, capsys, flag, value, message
+):
+    out = tmp_path / "out"
+    argv = ["compare", "--pre", str(workdir.sample), "--out", str(out), "--max-lag", "0.05"]
+    rc = main(argv + [flag, value])
+    if message is None:
+        # A spike window longer than every segment is capped at each
+        # segment's length, so 1e308 s counts the spikes 1e6 s does.
+        assert rc == 0
+        wide = tmp_path / "wide"
+        assert main(["compare", "--pre", str(workdir.sample), "--out", str(wide),
+                     "--max-lag", "0.05", flag, "1e6"]) == 0
+        got, want = (json.loads((d / f"{STEM}.comparison.json").read_text()) for d in (out, wide))
+        assert got["reports"] == want["reports"]
+        return
+    assert rc == 1
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.fixture
 def infected_capture(tmp_path):
     """Compact capture with +2 W on 12v_mb idle after infection, plus its truth."""

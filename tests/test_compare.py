@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,11 +246,11 @@ def _rolling_oracle(x, window):
 
 
 @st.composite
-def _series_and_window(draw):
+def _series_and_window(draw, shortest=1, widest=40, longest=150):
     """Series shorter than, as long as, and longer than odd and even windows,
     from tie-heavy small-integer alphabets, constant runs or wide floats."""
-    window = draw(st.integers(1, 40))
-    n = draw(st.one_of(st.integers(1, window), st.just(window), st.integers(window, 150)))
+    window = draw(st.integers(shortest, widest))
+    n = draw(st.one_of(st.integers(1, window), st.just(window), st.integers(window, longest)))
     kind = draw(st.sampled_from(["alphabet", "runs", "floats"]))
     if kind == "alphabet":
         values = st.integers(0, draw(st.integers(0, 3))).map(float)
@@ -273,6 +274,30 @@ def test_rolling_median_mad_matches_per_window_np_median(case):
     want_med, want_mad = _rolling_oracle(x, window)
     assert np.array_equal(med, want_med)
     assert np.array_equal(mad, want_mad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_series_and_window(shortest=41, widest=128, longest=300))
+def test_rolling_median_mad_matches_np_median_on_wide_windows(case):
+    # The default 1 s at 10 ms is w = 100: binary searches of 6-7 steps.
+    x, window = case
+    med, mad = _rolling_median_mad(x, window)
+    want_med, want_mad = _rolling_oracle(x, window)
+    assert np.array_equal(med, want_med)
+    assert np.array_equal(mad, want_mad)
+
+
+def test_detect_spikes_peaks_under_one_and_a_half_sorted_matrices():
+    # The (n, w) matrix of sorted windows is the one large array.
+    x = np.random.default_rng(12).normal(20.0, 0.1, 12_000)
+    x[::101] += 3.0
+    tracemalloc.start()
+    try:
+        detect_spikes(x, spike_window=1.0, sample_period=PERIOD)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(x) * 100 * 8
 
 
 def test_rolling_median_mad_matches_oracle_at_the_default_window():

@@ -83,10 +83,13 @@ def test_non_finite_power_names_rail_and_sample(voltage, current, sample):
 
 
 def test_window_sample_count_floors_with_minimum_one():
-    assert window_sample_count(1.0, 0.010) == 100
-    assert window_sample_count(0.25, 0.010) == 25
-    assert window_sample_count(0.015, 0.010) == 1
-    assert window_sample_count(0.001, 0.010) == 1
+    assert window_sample_count(1.0, 0.010, 1000) == 100
+    assert window_sample_count(0.25, 0.010, 1000) == 25
+    assert window_sample_count(0.015, 0.010, 1000) == 1
+    assert window_sample_count(0.001, 0.010, 1000) == 1
+    # Wider than the series: one more sample than it holds, with no overflow.
+    assert window_sample_count(10.0, 0.010, 500) == 501
+    assert window_sample_count(1e308, 0.010, 500) == 501
 
 
 def test_windowed_means_hand_example():
