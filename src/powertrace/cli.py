@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -224,14 +225,104 @@ def _analysis_payload(analyzed: AnalyzedRun) -> dict:
     }
 
 
-def _write_plot_files(analyzed: AnalyzedRun, out_dir: Path, stem: str) -> list[Path]:
-    tables = [
+def _plot_tables(analyzed: AnalyzedRun, out_dir: Path, stem: str) -> list[tuple]:
+    return [
         (out_dir / f"{stem}.plot.{rail.wire_name}.csv", "time_s,power_w",
          [analyzed.powers[rail].power])
         for rail in RAIL_ORDER
     ]
-    write_series_csv(analyzed.sample_period, tables)
-    return [path for path, _, _ in tables]
+
+
+def _usable_cpus() -> int:
+    # Without an affinity call, assume one CPU and write in-process.
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+class _PlotWriter:
+    """Writes analyze's plot files, one capture at a time, in argument order.
+
+    With more than one usable CPU, a fork-context pool of up to one worker
+    per rail writes a capture's tables (split round-robin, one
+    write_series_csv call per worker) while the caller reads the next
+    capture. Every stage perfbench wraps stays in the calling process.
+    Otherwise the tables are written in-process when started. Either way a
+    capture's note or error is printed by wait(), so stderr keeps the order
+    of the captures.
+    """
+
+    def __init__(self) -> None:
+        self.pool = None
+        self.workers = min(_usable_cpus(), len(RAIL_ORDER))
+        self.pending: tuple | None = None
+        if self.workers > 1:
+            import multiprocessing
+
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+
+                self.pool = ProcessPoolExecutor(
+                    self.workers, mp_context=multiprocessing.get_context("fork")
+                )
+                # A fork pool starts all its workers at the first submit and
+                # its threads after them: fork now, while the process is
+                # small, so the workers' RSS does not include a capture. The
+                # no-op task's result is not needed.
+                self.pool.submit(int)
+
+    def __enter__(self) -> _PlotWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(wait=True, cancel_futures=True)
+
+    def start(self, capture: Path, sample_period: float, tables: list, note: str) -> None:
+        """Begin writing *capture*'s *tables*; wait() for the previous capture first."""
+        error = futures = None
+        if self.pool is None:
+            try:
+                write_series_csv(sample_period, tables)
+            except PowerTraceError as exc:
+                error = exc
+        else:
+            from concurrent.futures import BrokenExecutor
+
+            try:
+                futures = [
+                    self.pool.submit(write_series_csv, sample_period, tables[i::self.workers])
+                    for i in range(self.workers)
+                ]
+            except BrokenExecutor:  # a worker died while idle
+                error = self._give_up_pool(capture)
+        self.pending = (capture, note, error, futures)
+
+    def wait(self) -> int:
+        """Finish the started capture and print its note or error; returns the exit status."""
+        if self.pending is None:
+            return 0
+        capture, note, error, futures = self.pending
+        self.pending = None
+        if futures:
+            from concurrent.futures import BrokenExecutor, wait as wait_all
+
+            wait_all(futures)  # every file is closed before the next capture's start
+            try:
+                for future in futures:
+                    future.result()
+            except PowerTraceError as exc:
+                error = exc
+            except BrokenExecutor:
+                error = self._give_up_pool(capture)
+        if error is not None:
+            return _fail(str(error))
+        _note(note)
+        return 0
+
+    def _give_up_pool(self, capture: Path) -> PowerTraceError:
+        """Shut the broken pool down; the remaining captures are written in-process."""
+        self.pool.shutdown(wait=True)
+        self.pool = None
+        return PowerTraceError(f"{capture}: a plot-writing worker process ended abruptly")
 
 
 def _report_from_json(obj: dict, source: str) -> ComparisonReport:
@@ -299,19 +390,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     params = _marker_params(args)
     out = _output_dir(args.out) if args.out else None
     status = 0
-    for capture in args.captures:
-        sample_path = Path(capture)
-        try:
-            analyzed = _analyze(sample_path, params)
-            out_dir = out or sample_path.parent
-            report_path = out_dir / f"{sample_path.stem}.analysis.json"
-            _write_json(report_path, _analysis_payload(analyzed), stamp=args.stamp)
-            plot_paths = _write_plot_files(analyzed, out_dir, sample_path.stem)
-            _note(f"analyzed {sample_path}: {len(analyzed.markers)} markers, "
-                  f"{len(analyzed.segments)} segments -> {report_path.name}, "
-                  f"{len(plot_paths)} plot files")
-        except PowerTraceError as exc:
-            status = _fail(str(exc))
+    with _PlotWriter() as plots:
+        for capture in args.captures:
+            sample_path = Path(capture)
+            try:
+                analyzed = _analyze(sample_path, params)
+                out_dir = out or sample_path.parent
+                report_path = out_dir / f"{sample_path.stem}.analysis.json"
+                _write_json(report_path, _analysis_payload(analyzed), stamp=args.stamp)
+            except PowerTraceError as exc:
+                status |= plots.wait() | _fail(str(exc))
+                continue
+            # The previous capture's plot files are complete, and reported,
+            # before this capture's are started.
+            status |= plots.wait()
+            tables = _plot_tables(analyzed, out_dir, sample_path.stem)
+            plots.start(sample_path, analyzed.sample_period, tables,
+                        f"analyzed {sample_path}: {len(analyzed.markers)} markers, "
+                        f"{len(analyzed.segments)} segments -> {report_path.name}, "
+                        f"{len(tables)} plot files")
+        status |= plots.wait()
     return status
 
 

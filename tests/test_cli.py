@@ -2,6 +2,7 @@
 
 import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,8 +23,9 @@ from powertrace import (
     generate_run,
     write_capture,
 )
+from powertrace import cli
 from powertrace.cli import main
-from powertrace.ingest import SAMPLE_HEADER
+from powertrace.ingest import SAMPLE_HEADER, manifest_path_for, write_series_csv
 
 SCENARIO = {
     "seed": 77,
@@ -626,3 +628,115 @@ def test_a_directory_that_cannot_be_made_fails_in_one_line(workdir, tmp_path, ca
         assert main(["analyze", str(workdir.sample), "--out", str(out)]) == 1
     report = out / f"{STEM}.analysis.json"
     assert _one_error_line(capsys) == f"powertrace: {report}: {out}: Permission denied"
+
+
+# analyze writes a capture's plot files while it reads the next capture;
+# these pin what that must not change: stderr order, same-stem outputs
+# and a worker process that dies.
+
+
+@pytest.fixture(scope="module")
+def second_capture(workdir):
+    """Dataset 2 of the CLI scenario: same schedule, other samples."""
+    out = workdir.root / "pair"
+    argv = ["synth", "--config", str(workdir.config), "--out", str(out), "--datasets", "2"]
+    assert main(argv) == 0
+    return out / "clidemo-d2-s77.csv"
+
+
+def _copy_capture(sample: Path, dest: Path) -> Path:
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    dest.write_bytes(sample.read_bytes())
+    manifest_path_for(dest).write_bytes(manifest_path_for(sample).read_bytes())
+    return dest
+
+
+def _analyzed_alone(sample: Path, out: Path) -> dict[str, bytes]:
+    assert main(["analyze", str(sample), "--out", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _note(sample: Path) -> str:
+    return (f"analyzed {sample}: 18 markers, 9 segments -> "
+            f"{sample.stem}.analysis.json, 4 plot files")
+
+
+def test_analyze_reports_a_mixed_batch_in_argument_order(
+    workdir, second_capture, tmp_path, capsys
+):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(SAMPLE_HEADER + "\n", encoding="ascii")
+    manifest_path_for(bad).write_bytes(manifest_path_for(workdir.sample).read_bytes())
+    argv = ["analyze", str(workdir.sample), str(bad), str(second_capture),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    note, error, last = capsys.readouterr().err.splitlines()
+    assert (note, last) == (_note(workdir.sample), _note(second_capture))
+    assert error.startswith(f"powertrace: {bad}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_plot_write_is_reported_before_the_next_capture(
+    workdir, second_capture, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    full = out / f"{STEM}.plot.12v_mb.csv"
+    full.symlink_to("/dev/full")
+    assert main(["analyze", str(workdir.sample), str(second_capture), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"powertrace: {full}: No space left on device", _note(second_capture),
+    ]
+    alone = _analyzed_alone(second_capture, tmp_path / "alone")
+    assert {name: (out / name).read_bytes() for name in alone} == alone
+
+
+def test_captures_sharing_a_stem_leave_the_last_ones_outputs(workdir, second_capture, tmp_path):
+    first = _copy_capture(workdir.sample, tmp_path / "a" / "x.csv")
+    last = _copy_capture(second_capture, tmp_path / "b" / "x.csv")
+    alone = _analyzed_alone(last, tmp_path / "alone")
+    out = tmp_path / "out"
+    assert main(["analyze", str(first), str(last), "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == alone
+    # The same capture twice, with the outputs written next to it.
+    assert main(["analyze", str(last), str(last)]) == 0
+    assert {name: (last.parent / name).read_bytes() for name in alone} == alone
+
+
+_PARENT_PID = os.getpid()
+
+
+def _exit_in_a_worker(sample_period, tables):
+    """write_series_csv, except that a worker process dies instead."""
+    if os.getpid() != _PARENT_PID:
+        os._exit(3)
+    write_series_csv(sample_period, tables)
+
+
+def _kill_the_workers_first(analyze):
+    """*analyze*, after killing this process's idle worker processes."""
+    def wrapper(*args):
+        for worker in multiprocessing.active_children():
+            worker.kill()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+        return analyze(*args)
+    return wrapper
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+@pytest.mark.parametrize("when", ["writing", "idle"])
+def test_a_worker_that_dies_ends_in_one_line(workdir, second_capture, tmp_path, capsys, when):
+    out = tmp_path / "out"
+    argv = ["analyze", str(workdir.sample), str(second_capture), "--out", str(out)]
+    death = (mock.patch("powertrace.cli.write_series_csv", _exit_in_a_worker) if when == "writing"
+             else mock.patch("powertrace.cli._analyze", _kill_the_workers_first(cli._analyze)))
+    with mock.patch("powertrace.cli._usable_cpus", return_value=2), death:
+        assert main(argv) == 1
+    # The pool is given up; the next capture's files are written in-process.
+    assert capsys.readouterr().err.splitlines() == [
+        f"powertrace: {workdir.sample}: a plot-writing worker process ended abruptly",
+        _note(second_capture),
+    ]
+    alone = _analyzed_alone(second_capture, tmp_path / "alone")
+    assert {name: (out / name).read_bytes() for name in alone} == alone

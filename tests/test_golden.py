@@ -18,6 +18,9 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 from powertrace.cli import main
 
@@ -87,6 +90,14 @@ def test_round_trip_matches_golden_files(tmp_path):
     # 2 captures and 4 plot files for each
     assert digests.splitlines() == CSV_DIGESTS.read_text(encoding="ascii").splitlines()
     assert len(digests.splitlines()) == 10
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_plot_bytes_do_not_depend_on_the_worker_count(tmp_path, cpus):
+    # One usable CPU writes in-process; four fork one plot writer per rail.
+    with mock.patch("powertrace.cli._usable_cpus", return_value=cpus):
+        _, digests = run_round_trip(tmp_path)
+    assert digests.splitlines() == CSV_DIGESTS.read_text(encoding="ascii").splitlines()
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from powertrace import (
     read_capture,
     write_capture,
 )
-from powertrace.cli import _write_plot_files
+from powertrace.cli import _plot_tables
 from powertrace.ingest import SAMPLE_HEADER
 
 CAL = CalibrationConfig()
@@ -349,8 +349,9 @@ def test_writers_match_the_per_row_formatter_at_block_edges(tmp_path, n, units):
     back = read_capture(sample_path, manifest_path)
     powers = {rail: compute_power(back.rails[rail]) for rail in RAIL_ORDER}
     analyzed = SimpleNamespace(sample_period=period, powers=powers)
-    paths = _write_plot_files(analyzed, tmp_path, "plot")
-    for rail, path in zip(RAIL_ORDER, paths):
+    tables = _plot_tables(analyzed, tmp_path, "plot")
+    ingest.write_series_csv(period, tables)
+    for rail, (path, _, _) in zip(RAIL_ORDER, tables):
         assert path.name == f"plot.plot.{rail.wire_name}.csv"
         assert path.read_bytes() == _reference_csv(
             "time_s,power_w", period, [powers[rail].power]
