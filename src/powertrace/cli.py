@@ -149,15 +149,18 @@ def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
 
 
 class AnalyzedRun:
-    """A capture run with its power series, markers, and segments.
+    """A capture run's labels with its power series, markers, and segments.
 
     The one power -> markers -> segments -> pool pipeline. It stays in
     this module because perfbench's traced run wraps each stage function
-    at this module's globals.
+    at this module's globals. It keeps no reference to the run's sample
+    table, so a command holds one capture's table at a time.
     """
 
     def __init__(self, run: CaptureRun, marker_params: MarkerParams):
-        self.run = run
+        self.run_id = run.run_id
+        self.rootkit_label = run.rootkit_label
+        self.dataset_index = run.dataset_index
         self.powers: dict[RailKind, PowerSeries] = {
             rail: compute_power(trace) for rail, trace in run.rails.items()
         }
@@ -184,7 +187,6 @@ def _analyze(sample_path: Path, marker_params: MarkerParams) -> AnalyzedRun:
 
 
 def _analysis_payload(analyzed: AnalyzedRun) -> dict:
-    run = analyzed.run
     period = analyzed.sample_period
     segments = []
     for seg in analyzed.segments:
@@ -203,9 +205,9 @@ def _analysis_payload(analyzed: AnalyzedRun) -> dict:
                 }
             )
     return {
-        "run_id": run.run_id,
-        "rootkit_label": run.rootkit_label,
-        "dataset_index": run.dataset_index,
+        "run_id": analyzed.run_id,
+        "rootkit_label": analyzed.rootkit_label,
+        "dataset_index": analyzed.dataset_index,
         "sample_period_s": period,
         "marker_count": len(analyzed.markers),
         "markers": [
@@ -454,9 +456,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
         report_path = (out or post_paths[i].parent) / f"{post_paths[i].stem}.comparison.json"
         payload = {
-            "pre_run_id": pre.run.run_id,
-            "post_run_id": post.run.run_id,
-            "dataset_index": post.run.dataset_index,
+            "pre_run_id": pre.run_id,
+            "post_run_id": post.run_id,
+            "dataset_index": post.dataset_index,
             "params": to_wire(compare_params),
             "reports": to_wire(reports),
         }

@@ -235,27 +235,52 @@ def estimate_lag(
     )
 
 
+# Values per sorted chunk of _rolling_median_mad's window matrix (2 MiB):
+# the spike statistics' memory does not grow with segment length x window.
+_SORT_CHUNK_VALUES = 1 << 18
+
+
 def _rolling_median_mad(x: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Median and MAD of the window around each sample, as np.median gives them.
 
     The window holds w = min(window, n) samples, (w - 1) // 2 before the
     sample and w // 2 after it, and shrinks at the series' edges. Each window
-    is sorted once, as a row S of one (n, w) matrix of the series padded with
-    +inf, so a window of L values sorts them first. Its median m is S[lo] or
-    (S[lo] + S[hi]) / 2, with lo, hi = (L - 1) // 2, L // 2. The k nearest
-    values form a run of S, so the k-th smallest |S - m| is min over j in
-    [0, L - k] of max(m - S[j], S[j + k - 1] - m). Rounded differences are
-    monotone, so the first term never rises with j and the second never
-    falls: the minimum is at their crossing or just before it. One binary
-    search finds the crossings of rank lo + 1 and, for an even L, hi + 1.
+    is sorted once, as a row of the (n, w) window matrix of the series padded
+    with +inf, so a window of L values sorts them first. The rows are sorted
+    in chunks of about _SORT_CHUNK_VALUES values, and _sorted_median_mad
+    reads each chunk's statistics.
     """
     n = len(x)
     w = min(window, n)
     before, after = (w - 1) // 2, w // 2
     padded = np.concatenate((np.full(before, np.inf), x, np.full(after, np.inf)))
-    flat = np.sort(sliding_window_view(padded, w), axis=1).reshape(-1)
+    windows = sliding_window_view(padded, w)
+    med, mad = np.empty(n), np.empty(n)
+    rows = max(1, _SORT_CHUNK_VALUES // w)
+    for first in range(0, n, rows):
+        at = np.arange(first, min(first + rows, n))
+        length = np.minimum(n, at + after + 1) - np.maximum(0, at - before)
+        chunk = np.sort(windows[first : first + rows], axis=1).reshape(-1)
+        med[first : first + rows], mad[first : first + rows] = _sorted_median_mad(chunk, length, w)
+    return med, mad
+
+
+def _sorted_median_mad(
+    flat: np.ndarray, length: np.ndarray, w: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Median and MAD of each sorted row of w values, flattened into *flat*,
+    whose first length[r] values of row r are its window.
+
+    A row S's median m is S[lo] or (S[lo] + S[hi]) / 2, with lo, hi =
+    (L - 1) // 2, L // 2. The k nearest values form a run of S, so the k-th
+    smallest |S - m| is min over j in [0, L - k] of max(m - S[j],
+    S[j + k - 1] - m). Rounded differences are monotone, so the first term
+    never rises with j and the second never falls: the minimum is at their
+    crossing or just before it. One binary search finds the crossings of
+    rank lo + 1 and, for an even L, hi + 1.
+    """
+    n = len(length)
     at = np.arange(n)
-    length = np.minimum(n, at + after + 1) - np.maximum(0, at - before)
     lo, hi = (length - 1) // 2, length // 2
     even = np.flatnonzero(lo != hi)
     med = flat[at * w + lo]

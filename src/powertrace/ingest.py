@@ -17,8 +17,10 @@ from __future__ import annotations
 import contextlib
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Protocol
 
 import numpy as np
 
@@ -244,13 +246,23 @@ def _format_cells(values: np.ndarray) -> list[str]:
     return text[inverse].tolist()
 
 
+class _Column(Protocol):
+    """A column write_series_csv can write: its length, and each slice of
+    its rows as a float array."""
+
+    def __len__(self) -> int: ...
+
+    def __getitem__(self, rows: slice) -> np.ndarray: ...
+
+
 def write_series_csv(
-    sample_period: float, tables: list[tuple[Path, str, list[np.ndarray]]]
+    sample_period: float, tables: Sequence[tuple[Path, str, Sequence[_Column]]]
 ) -> None:
     """Write each ``(path, header, columns)`` table as a CSV file: *header*,
     then one row per sample, ``k * sample_period`` as ``.6f`` followed by
     ``repr`` of each column's float.
 
+    A column is any _Column: an array, or write_capture's _QuantizedColumn.
     Cells are formatted column-wise in blocks of _WRITE_ROWS rows, so
     memory stays bounded by one block whatever the capture's length, and
     the tables of one call share each block's time column. Within a block
@@ -281,6 +293,25 @@ def write_series_csv(
                 fh.close()
 
 
+@dataclass(frozen=True)
+class _QuantizedColumn:
+    """A sample table column as its CSV holds it, one slice of rows at a
+    time: converted to raw ADC volts, quantized and, in engineering units,
+    scaled back."""
+
+    values: np.ndarray
+    scale: float
+    lsb: float
+    engineering: bool
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        quantized = _quantize_array(self.values[rows] / self.scale, self.lsb)
+        return quantized * self.scale if self.engineering else quantized
+
+
 def write_capture(
     run: CaptureRun,
     cal: CalibrationConfig,
@@ -290,18 +321,20 @@ def write_capture(
     """Emit a run as sample CSV plus manifest JSON under *out_dir*.
 
     Every channel is converted to raw ADC volts, quantized to the ADC
-    lattice, then written in the requested units. Returns the two paths.
+    lattice, then written in the requested units. Each block of rows is
+    quantized as write_series_csv formats it, so no full quantized copy of
+    the table is built. Returns the two paths.
     """
     if units not in ("engineering", "raw"):
         raise ValueError(f"units must be 'engineering' or 'raw', got {units!r}")
 
-    columns: list[np.ndarray] = []
+    columns = []
     for j, scale in enumerate(cal.column_scales):
-        raw = run.samples[:, j] / scale
+        column = run.samples[:, j]
         channel = ("voltage", "current")[j % 2]
-        _check_adc_range(raw, cal, f"rail {RAIL_ORDER[j // 2].wire_name} {channel} channel: ")
-        quantized = _quantize_array(raw, cal.lsb)
-        columns.append(quantized * scale if units == "engineering" else quantized)
+        where = f"rail {RAIL_ORDER[j // 2].wire_name} {channel} channel: "
+        _check_adc_range(column / scale, cal, where)
+        columns.append(_QuantizedColumn(column, scale, cal.lsb, units == "engineering"))
 
     sample_path, manifest_path = capture_paths(out_dir, run.run_id)
     write_series_csv(run.sample_period, [(sample_path, SAMPLE_HEADER, columns)])

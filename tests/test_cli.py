@@ -1,16 +1,20 @@
 """End-to-end tests driving the command line in process."""
 
 import errno
+import gc
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from conftest import compact_scenario, idle_delta
@@ -718,8 +722,9 @@ def _kill_the_workers_first(analyze):
     def wrapper(*args):
         for worker in multiprocessing.active_children():
             worker.kill()
-            worker.join(timeout=30)
-            assert not worker.is_alive()
+            # The pool's thread may reap the worker before join() can, and
+            # is_alive() then stays true; the sentinel shows the exit either way.
+            assert multiprocessing.connection.wait([worker.sentinel], timeout=30)
         return analyze(*args)
     return wrapper
 
@@ -740,3 +745,38 @@ def test_a_worker_that_dies_ends_in_one_line(workdir, second_capture, tmp_path, 
     ]
     alone = _analyzed_alone(second_capture, tmp_path / "alone")
     assert {name: (out / name).read_bytes() for name in alone} == alone
+
+
+def _tables_alive_at_each_read(argv: list[str]) -> list[int]:
+    """Run *argv*; at each capture read, the number of earlier capture tables alive."""
+    tables: list[weakref.ref] = []
+    alive: list[int] = []
+    read = cli._read_capture
+
+    def tracking_read(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in tables))
+        run = read(*args)
+        table = run.samples
+        while isinstance(table.base, np.ndarray):  # the array owning the memory
+            table = table.base
+        tables.append(weakref.ref(table))
+        return run
+
+    with mock.patch("powertrace.cli._read_capture", tracking_read):
+        assert main(argv) == 0
+    return alive
+
+
+def test_compare_holds_one_capture_table_at_a_time(workdir, second_capture, tmp_path):
+    argv = ["compare", "--pre", str(workdir.sample), "--post", str(second_capture),
+            "--post-reboot", str(workdir.sample), "--out", str(tmp_path), "--max-lag", "0.05"]
+    assert _tables_alive_at_each_read(argv) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_analyze_holds_one_capture_table_at_a_time(workdir, second_capture, tmp_path, cpus):
+    captures = [workdir.sample, second_capture.with_name(f"{STEM}.csv"), second_capture]
+    argv = ["analyze", *map(str, captures), "--out", str(tmp_path)]
+    with mock.patch("powertrace.cli._usable_cpus", return_value=cpus):
+        assert _tables_alive_at_each_read(argv) == [0, 0, 0]

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from powertrace import (
     generate_run,
     run_canonical_comparisons,
 )
+from powertrace import compare
 from powertrace.compare import _pearson, _rolling_median_mad
 
 PERIOD = 0.010
@@ -287,17 +289,47 @@ def test_rolling_median_mad_matches_np_median_on_wide_windows(case):
     assert np.array_equal(mad, want_mad)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_series_and_window(), st.integers(1, 7), st.integers(0, 1_000))
+@example((np.arange(20.0), 8), 3, 0)
+@example((np.array([3.0, 1.0, 2.0, 2.0, 0.0]), 4), 1, 3)
+def test_rolling_median_mad_is_exact_across_sort_chunks(case, rows, extra):
+    # Chunks of 1-7 rows put chunk boundaries inside the shrinking edge
+    # windows as well as between full ones, for odd and even w.
+    x, window = case
+    w = min(window, len(x))
+    with mock.patch.object(compare, "_SORT_CHUNK_VALUES", rows * w + extra % w):
+        med, mad = _rolling_median_mad(x, window)
+    want_med, want_mad = _rolling_oracle(x, window)
+    assert np.array_equal(med, want_med)
+    assert np.array_equal(mad, want_mad)
+
+
+def test_rolling_median_mad_is_exact_just_past_one_default_chunk():
+    x = np.random.default_rng(27).normal(20.0, 0.1, 2_700)
+    x[::89] += 3.0
+    assert compare._SORT_CHUNK_VALUES // 100 < len(x)
+    med, mad = _rolling_median_mad(x, 100)
+    want_med, want_mad = _rolling_oracle(x, 100)
+    assert np.array_equal(med, want_med)
+    assert np.array_equal(mad, want_mad)
+
+
 def test_detect_spikes_peaks_under_one_and_a_half_sorted_matrices():
-    # The (n, w) matrix of sorted windows is the one large array.
-    x = np.random.default_rng(12).normal(20.0, 0.1, 12_000)
-    x[::101] += 3.0
-    tracemalloc.start()
-    try:
-        detect_spikes(x, spike_window=1.0, sample_period=PERIOD)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * len(x) * 100 * 8
+    # Windows are sorted in chunks of _SORT_CHUNK_VALUES values, so the peak
+    # stays a few chunks whatever the segment length and window: at n =
+    # 12,000 and w = 100 that is also under 1.5 x the (n, w) matrix.
+    chunk_bytes = compare._SORT_CHUNK_VALUES * 8
+    for n, window in ((12_000, 100), (60_000, 100), (6_000, 2_000)):
+        x = np.random.default_rng(12).normal(20.0, 0.1, n)
+        x[::101] += 3.0
+        tracemalloc.start()
+        try:
+            detect_spikes(x, spike_window=window * PERIOD, sample_period=PERIOD)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * chunk_bytes, (n, window, peak)
 
 
 def test_rolling_median_mad_matches_oracle_at_the_default_window():

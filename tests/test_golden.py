@@ -45,29 +45,34 @@ STEMS = ("golden-d1-s31", "golden-d2-s31")
 CSV_DIGESTS = GOLDEN_DIR / "csv.sha256"
 
 
+def round_trip_commands(root: Path) -> list[list[str]]:
+    """The four subcommands' arguments, with the scenario and outputs under *root*."""
+    config = root / "scenario.json"
+    config.write_text(json.dumps(SCENARIO), encoding="ascii")
+    captures, comparison = root / "captures", root / "comparison"
+    samples = [str(captures / f"{stem}.csv") for stem in STEMS]
+    return [
+        ["synth", "--config", str(config), "--out", str(captures), "--datasets", "2"],
+        ["analyze", *samples, "--out", str(root / "analysis")],
+        ["compare", "--pre", samples[0], "--pre", samples[1],
+         "--out", str(comparison), "--max-lag", "0.05"],
+        ["aggregate", *(str(comparison / f"{stem}.comparison.json") for stem in STEMS),
+         "--out", str(root / "aggregate")],
+    ]
+
+
 def run_round_trip(root: Path) -> tuple[dict[str, object], str]:
     """Run the four subcommands under *root*.
 
     Returns golden file name -> parsed JSON, and the CSV outputs' digests
     as ``sha256sum`` lines sorted by file name.
     """
-    config = root / "scenario.json"
-    config.write_text(json.dumps(SCENARIO), encoding="ascii")
+    for argv in round_trip_commands(root):
+        assert main(argv) == 0, argv
+
     captures, analysis, comparison, folded = (
         root / "captures", root / "analysis", root / "comparison", root / "aggregate"
     )
-    samples = [str(captures / f"{stem}.csv") for stem in STEMS]
-    commands = (
-        ["synth", "--config", str(config), "--out", str(captures), "--datasets", "2"],
-        ["analyze", *samples, "--out", str(analysis)],
-        ["compare", "--pre", samples[0], "--pre", samples[1],
-         "--out", str(comparison), "--max-lag", "0.05"],
-        ["aggregate", *(str(comparison / f"{stem}.comparison.json") for stem in STEMS),
-         "--out", str(folded)],
-    )
-    for argv in commands:
-        assert main(argv) == 0, argv
-
     files = {}
     for stem in STEMS:
         files[f"{stem}.truth.json"] = captures / f"{stem}.truth.json"

@@ -130,6 +130,35 @@ def test_write_names_rail_channel_and_row_on_clipping(tmp_path):
     assert "5v" in message and "current" in message and "row 7" in message
 
 
+def test_write_names_the_first_clipping_column_at_its_first_row(tmp_path):
+    # Columns are checked in table order, whatever row a later one clips at;
+    # a NaN hides no clipping value, and nothing is written.
+    run = random_run(np.random.default_rng(6), n=50)
+    samples = run.samples.copy()
+    samples[3, 5] = 25.0  # i_12v_mb
+    samples[[40, 45], 1] = 25.0  # i_3v3
+    samples[0, 1] = np.nan
+    with pytest.raises(AdcRangeError) as excinfo:
+        write_capture(dataclasses.replace(run, samples=samples), CAL, tmp_path)
+    assert str(excinfo.value) == (
+        "rail 3v3 current channel: row 40 raw value 25.0 outside ADC range [-10.0, 10.0]"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_capture_quantizes_one_block_at_a_time(tmp_path):
+    run, _ = generate_run(ScenarioConfig(seed=5))
+    assert len(run.samples) == 54_600
+    with mock.patch.object(ingest, "_WRITE_ROWS", 1024):
+        tracemalloc.start()
+        try:
+            write_capture(run, CAL, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 0.5 * run.samples.nbytes, peak / run.samples.nbytes
+
+
 def _written_pair(tmp_path):
     run = random_run(np.random.default_rng(8), n=30)
     return write_capture(run, CAL, tmp_path)
