@@ -423,6 +423,15 @@ def _merge_reboot_pool(post_pool: SegmentPool, reboot_pool: SegmentPool) -> Segm
     return merged
 
 
+def _check_same_period(pre_path: Path, pre: AnalyzedRun, path: Path, other: AnalyzedRun) -> None:
+    """Windows and lags are counted in samples, so both captures need one period."""
+    if other.sample_period != pre.sample_period:
+        raise PowerTraceError(
+            f"{path}: sample period {other.sample_period} s differs from "
+            f"{pre.sample_period} s of --pre capture {pre_path}"
+        )
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     marker_params = _marker_params(args)
     compare_params = _compare_params(args)
@@ -445,9 +454,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for i, pre_path in enumerate(pre_paths):
         pre = _analyze(pre_path, marker_params)
         post = pre if post_paths[i] == pre_path else _analyze(post_paths[i], marker_params)
+        _check_same_period(pre_path, pre, post_paths[i], post)
         post_pool = post.pool()
         if reboot_paths is not None:
             reboot = _analyze(reboot_paths[i], marker_params)
+            _check_same_period(pre_path, pre, reboot_paths[i], reboot)
             post_pool = _merge_reboot_pool(post_pool, reboot.pool())
         reports = run_canonical_comparisons(
             pre.pool(), post_pool, compare_params, pre.sample_period

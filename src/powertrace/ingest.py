@@ -102,7 +102,7 @@ def quantize(value, cal: CalibrationConfig):
     """Snap raw volts to the nearest representable ADC level.
 
     Accepts a scalar or an array; |value| may not exceed the full-scale
-    input range.
+    input range, and NaN is refused.
     """
     raw = np.asarray(value, dtype=np.float64)
     _check_adc_range(raw, cal)
@@ -113,13 +113,15 @@ def quantize(value, cal: CalibrationConfig):
 
 
 def _check_adc_range(raw: np.ndarray, cal: CalibrationConfig, where: str = "") -> None:
-    over = np.abs(raw) > cal.adc_full_scale
-    if np.any(over):
-        row = int(np.argmax(over))
-        raise AdcRangeError(
-            f"{where}row {row} raw value {float(raw.flat[row])} "
-            f"outside ADC range [-{cal.adc_full_scale}, {cal.adc_full_scale}]"
-        )
+    """Raise at the first value past full scale or, failing that, the first NaN."""
+    for bad, problem in (
+        (np.abs(raw) > cal.adc_full_scale,
+         f"outside ADC range [-{cal.adc_full_scale}, {cal.adc_full_scale}]"),
+        (np.isnan(raw), "is not a number"),
+    ):
+        if np.any(bad):
+            row = int(np.argmax(bad))
+            raise AdcRangeError(f"{where}row {row} raw value {float(raw.flat[row])} {problem}")
 
 
 def _safe_stem(run_id: str) -> str:

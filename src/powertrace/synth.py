@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +64,23 @@ def _zero_deltas() -> dict[RailKind, dict[EventKind, float]]:
     return {rail: {event: 0.0 for event in EventKind} for rail in RAIL_ORDER}
 
 
+def _check_at_least(name: str, value, low, strict: bool = False) -> None:
+    """Raise unless value >= low (> low when strict); a NaN fails either way."""
+    if not (value > low if strict else value >= low):
+        raise ScenarioConfigError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
+
+
+def _check_table(name: str, table: dict, levels: tuple, low) -> None:
+    """Check that *table* has an entry for every key of each level and every cell is >= low."""
+    if not levels:
+        _check_at_least(name, table, low)
+        return
+    for key in levels[0]:
+        if key not in table:
+            raise ScenarioConfigError(f"{name} missing {key.wire_name}")
+        _check_table(f"{name}[{key.wire_name}]", table[key], levels[1:], low)
+
+
 @dataclass(frozen=True)
 class InfectionEffect:
     """What the installed rootkit changes, per rail and event.
@@ -78,24 +96,9 @@ class InfectionEffect:
     spike_amplitude: float = 15.0
 
     def __post_init__(self):
-        if self.lag_s < 0:
-            raise ScenarioConfigError(f"lag_s must be >= 0, got {self.lag_s}")
-        if self.spike_rate_per_min < 0:
-            raise ScenarioConfigError(
-                f"spike_rate_per_min must be >= 0, got {self.spike_rate_per_min}"
-            )
-        if self.spike_amplitude < 0:
-            raise ScenarioConfigError(
-                f"spike_amplitude must be >= 0, got {self.spike_amplitude}"
-            )
-        for rail in RAIL_ORDER:
-            if rail not in self.delta_power:
-                raise ScenarioConfigError(f"delta_power missing rail {rail.wire_name}")
-            for event in EventKind:
-                if event not in self.delta_power[rail]:
-                    raise ScenarioConfigError(
-                        f"delta_power[{rail.wire_name}] missing event {event.wire_name}"
-                    )
+        for name in ("lag_s", "spike_rate_per_min", "spike_amplitude"):
+            _check_at_least(name, getattr(self, name), 0)
+        _check_table("delta_power", self.delta_power, (RAIL_ORDER, EventKind), -math.inf)
 
 
 @dataclass(frozen=True)
@@ -124,52 +127,14 @@ class ScenarioConfig:
     infection: InfectionEffect = field(default_factory=InfectionEffect)
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ScenarioConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in (
-            "sample_period",
-            "marker_duration",
-            "gap_duration",
-            "idle_duration",
-            "ie_spacing",
-            "boot_duration",
-        ):
-            if not getattr(self, name) > 0:
-                raise ScenarioConfigError(
-                    f"{name} must be strictly positive, got {getattr(self, name)}"
-                )
-        if self.ie_windows < 1:
-            raise ScenarioConfigError(f"ie_windows must be >= 1, got {self.ie_windows}")
-        if not self.marker_amplitude > 0:
-            raise ScenarioConfigError(
-                f"marker_amplitude must be strictly positive, got {self.marker_amplitude}"
-            )
-        if self.ie_step_power < 0:
-            raise ScenarioConfigError(f"ie_step_power must be >= 0, got {self.ie_step_power}")
-        if self.boot_ramp_power < 0:
-            raise ScenarioConfigError(f"boot_ramp_power must be >= 0, got {self.boot_ramp_power}")
-        if self.voltage_noise_sigma < 0:
-            raise ScenarioConfigError(
-                f"voltage_noise_sigma must be >= 0, got {self.voltage_noise_sigma}"
-            )
-        for rail in RAIL_ORDER:
-            if rail not in self.baseline_power:
-                raise ScenarioConfigError(f"baseline_power missing rail {rail.wire_name}")
-            for event in EventKind:
-                if event not in self.baseline_power[rail]:
-                    raise ScenarioConfigError(
-                        f"baseline_power[{rail.wire_name}] missing event {event.wire_name}"
-                    )
-                if self.baseline_power[rail][event] < 0:
-                    raise ScenarioConfigError(
-                        f"baseline_power[{rail.wire_name}][{event.wire_name}] must be >= 0"
-                    )
-            if rail not in self.noise_sigma:
-                raise ScenarioConfigError(f"noise_sigma missing rail {rail.wire_name}")
-            if self.noise_sigma[rail] < 0:
-                raise ScenarioConfigError(
-                    f"noise_sigma[{rail.wire_name}] must be >= 0, got {self.noise_sigma[rail]}"
-                )
+        for name in ("sample_period", "marker_amplitude", "marker_duration", "gap_duration",
+                     "idle_duration", "ie_spacing", "boot_duration"):
+            _check_at_least(name, getattr(self, name), 0, strict=True)
+        for name, low in (("seed", 0), ("voltage_noise_sigma", 0), ("ie_windows", 1),
+                          ("ie_step_power", 0), ("boot_ramp_power", 0)):
+            _check_at_least(name, getattr(self, name), low)
+        _check_table("baseline_power", self.baseline_power, (RAIL_ORDER, EventKind), 0)
+        _check_table("noise_sigma", self.noise_sigma, (RAIL_ORDER,), 0)
 
 
 @dataclass(frozen=True)
@@ -350,59 +315,37 @@ def generate_ensemble(
 # JSON scenario files mirror the dataclass fields, with rails and events
 # keyed by their wire names. Unknown keys are rejected to catch typos.
 
-# Field annotations are strings here (postponed evaluation of annotations).
-_SCALAR_TYPES = {"int": int, "float": float, "str": str}
 
+def _merge(default, obj, context: str):
+    """*obj*, decoded from JSON, merged over *default*.
 
-def _scalar_fields(cls, obj: dict, context: str) -> dict:
-    """Converted values of the int, float and str fields of *cls* present in *obj*."""
-    return {
-        f.name: wire_scalar(
-            _SCALAR_TYPES[f.type], obj[f.name], f"{context}.{f.name}", ScenarioConfigError
-        )
-        for f in dataclasses.fields(cls)
-        if f.type in _SCALAR_TYPES and f.name in obj
-    }
-
-
-def _rail_event_table(
-    obj: dict, context: str, defaults: dict[RailKind, dict[EventKind, float]]
-) -> dict[RailKind, dict[EventKind, float]]:
+    A dataclass node is keyed by its init field names, a rail or event
+    table by wire names; keys absent from *obj* keep the default. A
+    scalar is read as the type of the default it replaces.
+    """
+    if not (dataclasses.is_dataclass(default) or isinstance(default, dict)):
+        return wire_scalar(type(default), obj, context, ScenarioConfigError)
     if not isinstance(obj, dict):
         raise ScenarioConfigError(f"{context} must be an object")
-    table = {rail: dict(events) for rail, events in defaults.items()}
-    for rail_name, events in obj.items():
-        try:
-            rail = RailKind(rail_name)
-        except ValueError:
-            raise ScenarioConfigError(f"{context}: unknown rail '{rail_name}'") from None
-        if not isinstance(events, dict):
-            raise ScenarioConfigError(f"{context}[{rail_name}] must be an object")
-        for event_name, value in events.items():
-            try:
-                event = EventKind(event_name)
-            except ValueError:
-                raise ScenarioConfigError(
-                    f"{context}[{rail_name}]: unknown event '{event_name}'"
-                ) from None
-            table[rail][event] = wire_scalar(
-                float, value, f"{context}[{rail_name}][{event_name}]", ScenarioConfigError
-            )
-    return table
-
-
-def _infection_from_json(obj: dict, context: str = "infection") -> InfectionEffect:
-    if not isinstance(obj, dict):
-        raise ScenarioConfigError(f"{context} must be an object")
-    unknown = set(obj) - {f.name for f in dataclasses.fields(InfectionEffect)}
+    if isinstance(default, dict):
+        keys = {key.wire_name: key for key in default}
+        children, path = default, "{}[{}]"
+    else:
+        keys = {f.name: f.name for f in dataclasses.fields(default) if f.init}
+        children, path = vars(default), "{}.{}"
+    unknown = obj.keys() - keys.keys()
     if unknown:
         raise ScenarioConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    kwargs = _scalar_fields(InfectionEffect, obj, context)
-    if "delta_power" in obj:
-        kwargs["delta_power"] = _rail_event_table(
-            obj["delta_power"], f"{context}.delta_power", _zero_deltas()
-        )
-    return InfectionEffect(**kwargs)
+    merged = {
+        keys[name]: _merge(children[keys[name]], value, path.format(context, name))
+        for name, value in obj.items()
+    }
+    if isinstance(default, dict):
+        return {**default, **merged}
+    try:
+        return dataclasses.replace(default, **merged)
+    except ScenarioConfigError as exc:  # a bound check, which knows no path
+        raise ScenarioConfigError(f"{context}: {exc}") from None
 
 
 def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect | None] | None]:
@@ -414,43 +357,20 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect 
     """
     if not isinstance(obj, dict):
         raise ScenarioConfigError("scenario must be a JSON object")
-    allowed = {f.name for f in dataclasses.fields(ScenarioConfig)} | {"dataset_infections"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioConfigError(f"scenario: unknown keys {sorted(unknown)}")
     if "seed" not in obj:
         raise ScenarioConfigError("scenario must set 'seed'")
-
-    kwargs = _scalar_fields(ScenarioConfig, obj, "scenario")
-    if "baseline_power" in obj:
-        kwargs["baseline_power"] = _rail_event_table(
-            obj["baseline_power"], "baseline_power", _default_baseline_power()
-        )
-    if "noise_sigma" in obj:
-        sigma = dict(_default_noise_sigma())
-        if not isinstance(obj["noise_sigma"], dict):
-            raise ScenarioConfigError("noise_sigma must be an object")
-        for rail_name, value in obj["noise_sigma"].items():
-            try:
-                rail = RailKind(rail_name)
-            except ValueError:
-                raise ScenarioConfigError(f"noise_sigma: unknown rail '{rail_name}'") from None
-            context = f"noise_sigma[{rail_name}]"
-            sigma[rail] = wire_scalar(float, value, context, ScenarioConfigError)
-        kwargs["noise_sigma"] = sigma
-    if "infection" in obj:
-        kwargs["infection"] = _infection_from_json(obj["infection"])
-
-    overrides: list[InfectionEffect | None] | None = None
-    if "dataset_infections" in obj:
-        raw = obj["dataset_infections"]
-        if not isinstance(raw, list):
-            raise ScenarioConfigError("dataset_infections must be a list")
-        overrides = [
-            None if entry is None else _infection_from_json(entry, f"dataset_infections[{i}]")
-            for i, entry in enumerate(raw)
-        ]
-    return ScenarioConfig(**kwargs), overrides
+    fields = {key: value for key, value in obj.items() if key != "dataset_infections"}
+    config = _merge(ScenarioConfig(seed=0), fields, "scenario")
+    if "dataset_infections" not in obj:
+        return config, None
+    raw = obj["dataset_infections"]
+    if not isinstance(raw, list):
+        raise ScenarioConfigError("scenario.dataset_infections must be a list")
+    return config, [
+        None if entry is None
+        else _merge(InfectionEffect(), entry, f"scenario.dataset_infections[{i}]")
+        for i, entry in enumerate(raw)
+    ]
 
 
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig, list[InfectionEffect | None] | None]:

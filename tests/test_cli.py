@@ -498,6 +498,28 @@ def test_compare_error_names_the_bad_capture(infected_capture, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--post", "--post-reboot"])
+def test_compare_rejects_captures_of_different_sample_periods(tmp_path, capsys, flag):
+    pre, _ = write_capture(generate_run(compact_scenario(5))[0], CalibrationConfig(), tmp_path / "a")
+    other = generate_run(compact_scenario(6, sample_period=0.005))[0]
+    post, _ = write_capture(other, CalibrationConfig(), tmp_path / "b")
+    out = tmp_path / "out"
+    argv = ["compare", "--out", str(out), "--max-lag", "0.05", "--pre", str(pre), flag, str(post)]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {post}: sample period 0.005 s differs from 0.01 s of --pre capture {pre}"
+    )
+    assert not out.exists()
+
+
+def test_flag_defaults_equal_the_parameter_defaults():
+    parser = cli.build_parser()
+    for argv in (["analyze", "x.csv"], ["compare", "--pre", "x.csv"]):
+        assert cli._marker_params(parser.parse_args(argv)) == powertrace.MarkerParams()
+    args = parser.parse_args(["compare", "--pre", "x.csv"])
+    assert cli._compare_params(args) == powertrace.CompareParams()
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(powertrace.__file__).parents[1])}
     done = subprocess.run(

@@ -146,6 +146,16 @@ def test_write_names_the_first_clipping_column_at_its_first_row(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_write_rejects_a_nan_sample(tmp_path):
+    run = random_run(np.random.default_rng(6), n=150)
+    samples = run.samples.copy()
+    samples[100, 3] = np.nan  # i_5v
+    with pytest.raises(AdcRangeError) as excinfo:
+        write_capture(dataclasses.replace(run, samples=samples), CAL, tmp_path)
+    assert str(excinfo.value) == "rail 5v current channel: row 100 raw value nan is not a number"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_capture_quantizes_one_block_at_a_time(tmp_path):
     run, _ = generate_run(ScenarioConfig(seed=5))
     assert len(run.samples) == 54_600

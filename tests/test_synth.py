@@ -1,9 +1,13 @@
 """Tests for the synthetic testbed generator."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import compact_scenario, idle_delta
 from powertrace import (
@@ -13,6 +17,7 @@ from powertrace import (
     MachineState,
     RAIL_ORDER,
     RailKind,
+    ScenarioConfig,
     ScenarioConfigError,
     classify_increment,
     compute_power,
@@ -24,6 +29,7 @@ from powertrace import (
     scenario_from_dict,
     write_capture,
 )
+from powertrace.model import to_wire
 from powertrace.synth import MARKER_RAIL
 
 
@@ -257,6 +263,111 @@ def test_scenario_from_dict_rejects_garbage():
         scenario_from_dict(
             {"seed": 1, "infection": {"delta_power": {"5v": {"nap": 1.0}}}}
         )
+
+
+def _floats(low=None, strict=False):
+    return st.floats(min_value=low, exclude_min=strict, allow_nan=False, allow_infinity=False)
+
+
+def _table(levels, cells):
+    """Rail or rail-and-event tables with a *cells* value in every cell."""
+    if not levels:
+        return cells
+    return st.fixed_dictionaries({key: _table(levels[1:], cells) for key in levels[0]})
+
+
+def _builds(cls, **fields):
+    # Every init field gets a strategy, so a new field must be added here.
+    assert fields.keys() == {f.name for f in dataclasses.fields(cls) if f.init}
+    return st.builds(cls, **fields)
+
+
+INFECTIONS = _builds(
+    InfectionEffect,
+    delta_power=_table((RAIL_ORDER, EventKind), _floats()),
+    lag_s=_floats(0),
+    spike_rate_per_min=_floats(0),
+    spike_amplitude=_floats(0),
+)
+SCENARIOS = _builds(
+    ScenarioConfig,
+    seed=st.integers(min_value=0),
+    sample_period=_floats(0, strict=True),
+    rootkit_label=st.text(max_size=8),
+    baseline_power=_table((RAIL_ORDER, EventKind), _floats(0)),
+    noise_sigma=_table((RAIL_ORDER,), _floats(0)),
+    voltage_noise_sigma=_floats(0),
+    marker_amplitude=_floats(0, strict=True),
+    marker_duration=_floats(0, strict=True),
+    gap_duration=_floats(0, strict=True),
+    idle_duration=_floats(0, strict=True),
+    ie_windows=st.integers(min_value=1),
+    ie_spacing=_floats(0, strict=True),
+    ie_step_power=_floats(0),
+    boot_duration=_floats(0, strict=True),
+    boot_ramp_power=_floats(0),
+    infection=INFECTIONS,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SCENARIOS, st.lists(st.none() | INFECTIONS, max_size=3))
+def test_scenario_json_round_trips(config, infections):
+    wire = json.loads(json.dumps({**to_wire(config), "dataset_infections": to_wire(infections)}))
+    assert scenario_from_dict(wire) == (config, infections)
+
+
+@st.composite
+def _subtree(draw, node):
+    """*node* with a random subset of the keys of each object it holds."""
+    if not isinstance(node, dict):
+        return node
+    keys = draw(st.lists(st.sampled_from(sorted(node)), unique=True))
+    return {key: draw(_subtree(node[key])) for key in keys}
+
+
+def _merged(base, sub):
+    if not isinstance(base, dict):
+        return sub
+    return {**base, **{key: _merged(base[key], value) for key, value in sub.items()}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_partial_scenario_merges_over_the_defaults(data):
+    wire = to_wire(data.draw(SCENARIOS))
+    sub = {**data.draw(_subtree(wire)), "seed": wire["seed"]}
+    config, _ = scenario_from_dict(sub)
+    assert to_wire(config) == _merged(to_wire(ScenarioConfig(seed=0)), sub)
+
+
+def _nan_cell(table):
+    table = {rail: dict(events) for rail, events in table.items()}
+    table[RailKind.RAIL_5V][EventKind.IDLE] = math.nan
+    return table
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: compact_scenario(1, ie_step_power=math.nan),
+        lambda: compact_scenario(1, boot_ramp_power=math.nan),
+        lambda: compact_scenario(1, voltage_noise_sigma=math.nan),
+        lambda: compact_scenario(1, noise_sigma={r: math.nan for r in RAIL_ORDER}),
+        lambda: compact_scenario(1, baseline_power=_nan_cell(ScenarioConfig(seed=0).baseline_power)),
+        lambda: InfectionEffect(lag_s=math.nan),
+        lambda: InfectionEffect(spike_rate_per_min=math.nan),
+        lambda: InfectionEffect(spike_amplitude=math.nan),
+        lambda: InfectionEffect(delta_power=_nan_cell(idle_delta(1.0))),
+    ],
+    ids=[
+        "ie_step_power", "boot_ramp_power", "voltage_noise_sigma", "noise_sigma",
+        "baseline_power", "lag_s", "spike_rate_per_min", "spike_amplitude", "delta_power",
+    ],
+)
+def test_a_nan_setting_is_rejected(build):
+    with pytest.raises(ScenarioConfigError, match="nan"):
+        build()
 
 
 def test_ground_truth_json_layout():
