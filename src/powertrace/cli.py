@@ -41,7 +41,7 @@ from .ingest import read_capture as _read_capture
 from .model import RAIL_ORDER, CaptureRun, MachineState, PowerSeries, RailKind, to_wire, wire_scalar
 from .power import compute_power
 from .segment import MarkerParams, detect_markers, segment_events
-from .synth import generate_ensemble, ground_truth_to_json, load_scenario
+from .synth import check_ensemble, generate_ensemble, ground_truth_to_json, load_scenario
 
 
 def _fail(message: str) -> int:
@@ -377,13 +377,17 @@ def _aggregate_payload(dataset_reports: list[list[ComparisonReport]]) -> dict:
 def _cmd_synth(args: argparse.Namespace) -> int:
     config, overrides = load_scenario(args.config)
     out_dir = _output_dir(args.out)
-    datasets = generate_ensemble(config, args.datasets, overrides)
+    check_ensemble(config, args.datasets, overrides)
     cal = CalibrationConfig()
-    for run, truth in datasets:
+    # One dataset at a time: each run is written and dropped before the
+    # next is built, so memory holds one capture whatever --datasets is.
+    for k in range(1, args.datasets + 1):
+        [(run, truth)] = generate_ensemble(config, args.datasets, overrides, indices=[k])
         sample_path, manifest_path = write_capture(run, cal, out_dir)
         truth_path = sample_path.with_name(sample_path.stem + ".truth.json")
         _write_json(truth_path, {"run_id": run.run_id, **ground_truth_to_json(truth)},
                     stamp=args.stamp)
+        del run, truth
         _note(f"wrote {sample_path} {manifest_path.name} {truth_path.name}")
     return 0
 
@@ -505,6 +509,8 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             return _fail(f"cannot read comparison report {path}: {exc}")
         if not isinstance(obj, dict) or not isinstance(obj.get("reports"), list):
             return _fail(f"{path}: missing 'reports' list")
+        if not obj["reports"]:
+            return _fail(f"{path}: empty 'reports' list")
         if first_path is None:
             first_path, first_params = path, obj.get("params")
         elif obj.get("params") != first_params:

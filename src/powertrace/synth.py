@@ -154,35 +154,43 @@ class GroundTruth:
     sample_count: int
 
 
-def _samples(duration: float, period: float) -> int:
-    return int(round(duration / period))
+# The most samples per rail a run may have: numpy cannot address an
+# (n, 8) float64 table with more rows.
+MAX_SAMPLES = np.iinfo(np.intp).max // (2 * len(RAIL_ORDER) * 8)
+
+
+def _samples(duration: float, period: float, name: str) -> int:
+    count = duration / period
+    if not count <= MAX_SAMPLES:  # also catches inf
+        raise ScenarioConfigError(
+            f"{name} {duration} s is {count:.4g} samples at a sample period of {period} s, "
+            f"more than the {MAX_SAMPLES} a run can hold"
+        )
+    return int(round(count))
 
 
 def _body_samples(config: ScenarioConfig, event: EventKind) -> int:
     period = config.sample_period
     if event is EventKind.IDLE:
-        return _samples(config.idle_duration, period)
+        return _samples(config.idle_duration, period, "idle_duration")
     if event is EventKind.OPEN_BROWSER:
-        return config.ie_windows * _samples(config.ie_spacing, period)
-    return _samples(config.boot_duration, period)
+        return config.ie_windows * _samples(config.ie_spacing, period, "ie_spacing")
+    return _samples(config.boot_duration, period, "boot_duration")
 
 
-def generate_run(
-    config: ScenarioConfig, dataset_index: int = 1
-) -> tuple[CaptureRun, GroundTruth]:
-    """Emit one scripted capture run plus the ground truth that shaped it.
+def _layout(config: ScenarioConfig, schedule: RunSchedule) -> tuple:
+    """Sample ranges of *config*'s run, laid out before anything is drawn
+    or allocated; all rails share the same clock.
 
-    Identical (config, dataset_index) always produces identical samples.
+    Returns the marker ranges, event spans, body ranges and entry regions,
+    the lag and the total in samples. Raises ScenarioConfigError, naming
+    the count, when the run would have more than MAX_SAMPLES samples.
     """
-    if dataset_index < 1:
-        raise ScenarioConfigError(f"dataset_index must be >= 1, got {dataset_index}")
     period = config.sample_period
-    schedule = RunSchedule.default()
-    gap_n = _samples(config.gap_duration, period)
-    marker_n = _samples(config.marker_duration, period)
-    lag_n = _samples(config.infection.lag_s, period)
+    gap_n = _samples(config.gap_duration, period, "gap_duration")
+    marker_n = _samples(config.marker_duration, period, "marker_duration")
+    lag_n = _samples(config.infection.lag_s, period, "infection.lag_s")
 
-    # Lay out sample ranges first; all rails share the same clock.
     marker_ranges: list[tuple[int, int]] = []
     event_spans: dict[tuple[MachineState, EventKind], tuple[int, int]] = {}
     body_ranges: dict[tuple[MachineState, EventKind], tuple[int, int]] = {}
@@ -207,7 +215,27 @@ def generate_run(
         pos += gap_n
         event_spans[(state, event)] = (span_start, span_end)
         entry_regions.append((entry_start, pos))
-    total = pos
+    if pos > MAX_SAMPLES:
+        raise ScenarioConfigError(
+            f"a run of {pos} samples is more than the {MAX_SAMPLES} a run can hold"
+        )
+    return marker_ranges, event_spans, body_ranges, entry_regions, lag_n, pos
+
+
+def generate_run(
+    config: ScenarioConfig, dataset_index: int = 1
+) -> tuple[CaptureRun, GroundTruth]:
+    """Emit one scripted capture run plus the ground truth that shaped it.
+
+    Identical (config, dataset_index) always produces identical samples.
+    """
+    if dataset_index < 1:
+        raise ScenarioConfigError(f"dataset_index must be >= 1, got {dataset_index}")
+    period = config.sample_period
+    schedule = RunSchedule.default()
+    marker_ranges, event_spans, body_ranges, entry_regions, lag_n, total = _layout(
+        config, schedule
+    )
 
     rng = np.random.Generator(np.random.PCG64(config.seed + (dataset_index - 1)))
 
@@ -228,7 +256,10 @@ def generate_run(
         spike_indices[(state, event)] = tuple(sorted(int(o) + body_start for o in offsets))
 
     applied_deltas: dict[tuple[MachineState, EventKind, RailKind], float] = {}
-    samples = np.empty((total, 2 * len(RAIL_ORDER)))
+    try:
+        samples = np.empty((total, 2 * len(RAIL_ORDER)))
+    except MemoryError:
+        raise ScenarioConfigError(f"cannot allocate a run of {total} samples") from None
     for j, rail in enumerate(RAIL_ORDER):
         power = np.empty(total, dtype=np.float64)
         for (state, event), (entry_start, entry_end) in zip(schedule.entries, entry_regions):
@@ -238,7 +269,7 @@ def generate_run(
             body_start, body_end = body_ranges[(state, event)]
             body_n = body_end - body_start
             if event is EventKind.OPEN_BROWSER and body_n > 0:
-                spacing_n = max(1, _samples(config.ie_spacing, period))
+                spacing_n = max(1, _samples(config.ie_spacing, period, "ie_spacing"))
                 k = np.arange(body_n)
                 opened = np.minimum(k // spacing_n + 1, config.ie_windows)
                 power[body_start:body_end] += config.ie_step_power * opened
@@ -285,17 +316,16 @@ def generate_run(
     return run, truth
 
 
-def generate_ensemble(
-    config: ScenarioConfig,
-    n_datasets: int,
-    per_dataset_infections: list[InfectionEffect | None] | None = None,
-) -> list[tuple[CaptureRun, GroundTruth]]:
-    """Generate n datasets; dataset k (1-based) runs from seed + k - 1.
+def _dataset_config(
+    config: ScenarioConfig, k: int, per_dataset_infections: list[InfectionEffect | None] | None
+) -> ScenarioConfig:
+    infection = per_dataset_infections[k - 1] if per_dataset_infections is not None else None
+    return config if infection is None else dataclasses.replace(config, infection=infection)
 
-    per_dataset_infections can swap the infection per dataset, e.g. to
-    give only two of three datasets a real effect; None entries keep the
-    config's infection.
-    """
+
+def _check_batch(
+    n_datasets: int, per_dataset_infections: list[InfectionEffect | None] | None
+) -> None:
     if n_datasets < 1:
         raise ScenarioConfigError(f"n_datasets must be >= 1, got {n_datasets}")
     if per_dataset_infections is not None and len(per_dataset_infections) != n_datasets:
@@ -303,13 +333,54 @@ def generate_ensemble(
             f"per_dataset_infections has {len(per_dataset_infections)} entries "
             f"for {n_datasets} datasets"
         )
-    out: list[tuple[CaptureRun, GroundTruth]] = []
-    for k in range(n_datasets):
-        cfg = config
-        if per_dataset_infections is not None and per_dataset_infections[k] is not None:
-            cfg = dataclasses.replace(config, infection=per_dataset_infections[k])
-        out.append(generate_run(cfg, dataset_index=k + 1))
-    return out
+
+
+def check_ensemble(
+    config: ScenarioConfig,
+    n_datasets: int,
+    per_dataset_infections: list[InfectionEffect | None] | None = None,
+) -> None:
+    """Raise ScenarioConfigError unless generate_ensemble can build every dataset.
+
+    Builds nothing: besides the arguments, it checks each dataset's sample
+    count, which differs between datasets when their infections' lag_s
+    does. A caller that builds the datasets one at a time calls this
+    before it writes the first.
+    """
+    _check_batch(n_datasets, per_dataset_infections)
+    schedule = RunSchedule.default()
+    for k in range(1, n_datasets + 1):
+        try:
+            _layout(_dataset_config(config, k, per_dataset_infections), schedule)
+        except ScenarioConfigError as exc:
+            raise ScenarioConfigError(f"dataset {k}: {exc}") from None
+
+
+def generate_ensemble(
+    config: ScenarioConfig,
+    n_datasets: int,
+    per_dataset_infections: list[InfectionEffect | None] | None = None,
+    *,
+    indices: list[int] | None = None,
+) -> list[tuple[CaptureRun, GroundTruth]]:
+    """Generate n datasets; dataset k (1-based) runs from seed + k - 1.
+
+    per_dataset_infections can swap the infection per dataset, e.g. to
+    give only two of three datasets a real effect; None entries keep the
+    config's infection. indices selects which datasets to build, in the
+    order given (default: 1..n); a dataset built alone equals the same
+    dataset built in the whole batch.
+    """
+    _check_batch(n_datasets, per_dataset_infections)
+    if indices is None:
+        indices = list(range(1, n_datasets + 1))
+    for k in indices:
+        if not 1 <= k <= n_datasets:
+            raise ScenarioConfigError(f"dataset index {k} is outside 1..{n_datasets}")
+    return [
+        generate_run(_dataset_config(config, k, per_dataset_infections), dataset_index=k)
+        for k in indices
+    ]
 
 
 # JSON scenario files mirror the dataclass fields, with rails and events

@@ -4,10 +4,13 @@
 
 Each subcommand of tests/test_golden.py's round trip runs in its own
 ``python -m powertrace.cli`` process, and its peak RSS is that process's
-ru_maxrss. A child's ru_maxrss starts from its parent's RSS at the fork,
-so this script imports neither numpy nor powertrace: a helper process
-writes the scenario and hands back the commands. The numbers are
-informational; nothing is checked against them.
+ru_maxrss. Then synth runs again on the same scenario with --datasets 1
+and --datasets 4 (``synth -n1``, ``synth -n4``): synth holds one dataset
+at a time, so the two should read about the same. A child's ru_maxrss
+starts from its parent's RSS at the fork, so this script imports neither
+numpy nor powertrace: a helper process writes the scenario and hands
+back the commands. The numbers are informational; nothing is checked
+against them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,17 @@ def main() -> int:
             [sys.executable, "-c", COMMANDS, tmp, str(Path(__file__).parent)],
             check=True, capture_output=True, text=True,
         )
-        for argv in json.loads(helper.stdout):
+        commands = json.loads(helper.stdout)
+        scenario = json.loads(Path(tmp, "scenario.json").read_text(encoding="ascii"))
+        # The golden scenario lists one infection per dataset; repeat them.
+        infections = scenario["dataset_infections"]
+        for n in (1, 4):
+            scenario["dataset_infections"] = [infections[k % len(infections)] for k in range(n)]
+            config = Path(tmp, f"scenario{n}.json")
+            config.write_text(json.dumps(scenario), encoding="ascii")
+            commands.append(["synth", "--config", str(config), "--out", f"{tmp}/datasets{n}",
+                             "--datasets", str(n)])
+        for argv in commands:
             proc = subprocess.Popen([sys.executable, "-m", "powertrace.cli", *argv],
                                     stderr=subprocess.DEVNULL)
             _, status, usage = os.wait4(proc.pid, 0)
@@ -40,7 +53,10 @@ def main() -> int:
             if proc.returncode != 0:
                 print(f"{argv[0]} exited with {proc.returncode}", file=sys.stderr)
                 return 1
-            print(f"{argv[0]:<9} {usage.ru_maxrss / 1024:6.1f} MiB")  # Linux: KiB
+            label = argv[0]
+            if label == "synth":
+                label += f" -n{argv[argv.index('--datasets') + 1]}"
+            print(f"{label:<9} {usage.ru_maxrss / 1024:6.1f} MiB")  # Linux: KiB
     return 0
 
 

@@ -8,6 +8,7 @@ import multiprocessing.connection
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -254,7 +255,8 @@ def _one_error_line(capsys) -> str:
 
 @pytest.mark.parametrize(
     "payload, message",
-    [({"reports": [1, 2]}, "malformed comparison report"), (5, "missing 'reports' list")],
+    [({"reports": [1, 2]}, "malformed comparison report"), (5, "missing 'reports' list"),
+     ({"reports": []}, "empty 'reports' list")],
 )
 def test_aggregate_rejects_non_object_reports(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.comparison.json"
@@ -283,6 +285,54 @@ def test_bad_scenario_value_fails_cleanly(tmp_path, capsys, scenario, message):
     config.write_text(json.dumps(scenario), encoding="ascii")
     assert main(["synth", "--config", str(config), "--out", str(tmp_path)]) == 1
     assert message in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        ({"seed": 1, "ie_windows": 1000000000000000000},
+         "dataset 1: a run of 1500000000000000039600 samples is more than"),
+        ({"seed": 1, "sample_period": 1e-300},
+         "dataset 1: gap_duration 1.0 s is 1e+300 samples at a sample period of 1e-300 s"),
+        ({**SCENARIO, "dataset_infections": [None, {}, {"lag_s": 1e16}]},
+         "dataset 3: infection.lag_s 1e+16 s is 1e+18 samples"),
+    ],
+    ids=["ie_windows", "sample_period", "dataset_lag"],
+)
+def test_an_impossible_sample_count_fails_before_any_output(tmp_path, capsys, scenario, message):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario), encoding="ascii")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(config), "--out", str(out), "--datasets", "3"]) == 1
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_a_run_too_large_to_allocate_fails_in_one_line(workdir, tmp_path, capsys):
+    with mock.patch("powertrace.synth.np.empty", side_effect=MemoryError):
+        assert main(["synth", "--config", str(workdir.config), "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys) == "powertrace: cannot allocate a run of 21000 samples"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _synth_peak(config: Path, out: Path, datasets: int) -> int:
+    argv = ["synth", "--config", str(config), "--out", str(out), "--datasets", str(datasets)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_holds_one_dataset_at_a_time(workdir, tmp_path):
+    # Building every dataset before writing the first held all their tables
+    # at once: --datasets 4 then peaked at 1.72x the peak of --datasets 1.
+    rows = json.loads(workdir.truth.read_text())["sample_count"]
+    one = _synth_peak(workdir.config, tmp_path / "one", 1)
+    four = _synth_peak(workdir.config, tmp_path / "four", 4)
+    assert len(list((tmp_path / "four").glob("*.csv"))) == 4
+    assert four < one + rows * 8 * 8, (one, four)
 
 
 def _edited_capture(workdir, tmp_path, **fields):

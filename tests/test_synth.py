@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from powertrace import (
     write_capture,
 )
 from powertrace.model import to_wire
-from powertrace.synth import MARKER_RAIL
+from powertrace.synth import MARKER_RAIL, MAX_SAMPLES, check_ensemble
 
 
 def _power(run, rail):
@@ -149,6 +150,60 @@ def test_ensemble_per_dataset_infections():
     assert deltas == [0.0, 2.0, 0.0]
     with pytest.raises(ScenarioConfigError, match="3"):
         generate_ensemble(compact_scenario(5), 3, per_dataset_infections=[None])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_dataset_built_alone_equals_it_built_in_the_batch(k):
+    # Dataset 2 lags, so the three runs differ in length as well as in samples.
+    config, overrides = scenario_from_dict({
+        "seed": 12, "idle_duration": 10.0, "ie_windows": 4, "ie_spacing": 2.5,
+        "boot_duration": 8.0, "infection": {"spike_rate_per_min": 6.0},
+        "dataset_infections": [None, {"lag_s": 0.3, "delta_power": {"5v": {"idle": 1.0}}}, {}],
+    })
+    batch = generate_ensemble(config, 3, overrides)
+    [(run, truth)] = generate_ensemble(config, 3, overrides, indices=[k])
+    batch_run, batch_truth = batch[k - 1]
+    assert np.array_equal(run.samples, batch_run.samples)
+    assert truth == batch_truth
+    assert run.run_id == batch_run.run_id == f"synthetic-d{k}-s12"
+    assert run.dataset_index == k
+    assert len({truth.sample_count for _, truth in batch}) == 2
+
+
+def test_ensemble_indices_are_checked():
+    config = compact_scenario(5)
+    assert generate_ensemble(config, 3, indices=[]) == []
+    for bad in (0, 4):
+        with pytest.raises(ScenarioConfigError, match=f"dataset index {bad} is outside 1..3"):
+            generate_ensemble(config, 3, indices=[1, bad])
+
+
+@pytest.mark.parametrize(
+    "config, infections, message",
+    [
+        (ScenarioConfig(seed=1, ie_windows=10**18), None,
+         "dataset 1: a run of 1500000000000000039600 samples is more than"),
+        (ScenarioConfig(seed=1, sample_period=1e-300), None,
+         "dataset 1: gap_duration 1.0 s is 1e+300 samples at a sample period of 1e-300 s"),
+        (ScenarioConfig(seed=1, sample_period=5e-324), None, "is inf samples"),
+        (compact_scenario(1), [None, None, InfectionEffect(lag_s=1e16)],
+         "dataset 3: infection.lag_s 1e+16 s is 1e+18 samples"),
+    ],
+    ids=["ie_windows", "sample_period", "subnormal_period", "dataset_lag"],
+)
+def test_check_ensemble_rejects_an_impossible_sample_count(config, infections, message):
+    with pytest.raises(ScenarioConfigError, match=re.escape(message)):
+        check_ensemble(config, 3, infections)
+    with pytest.raises(ScenarioConfigError, match=f"more than the {MAX_SAMPLES} a run"):
+        generate_ensemble(config, 3, infections)
+
+
+def test_check_ensemble_checks_the_arguments():
+    check_ensemble(compact_scenario(1), 2, [None, InfectionEffect(lag_s=1.0)])
+    with pytest.raises(ScenarioConfigError, match="n_datasets must be >= 1, got 0"):
+        check_ensemble(compact_scenario(1), 0)
+    with pytest.raises(ScenarioConfigError, match="has 1 entries for 2 datasets"):
+        check_ensemble(compact_scenario(1), 2, [None])
 
 
 def test_detection_recovers_generated_markers():
