@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 from .compare import (
@@ -38,7 +39,8 @@ from .ingest import (
     write_text_output,
 )
 from .ingest import read_capture as _read_capture
-from .model import RAIL_ORDER, CaptureRun, MachineState, PowerSeries, RailKind, to_wire, wire_scalar
+from .model import RAIL_ORDER, CaptureRun, MachineState, PowerSeries, RailKind
+from .model import from_wire, to_wire, wire_scalar
 from .power import compute_power
 from .segment import MarkerParams, detect_markers, segment_events
 from .synth import check_ensemble, generate_ensemble, ground_truth_to_json, load_scenario
@@ -81,71 +83,49 @@ def _output_dir(out: str) -> Path:
     return path
 
 
-def _marker_params(args: argparse.Namespace) -> MarkerParams:
+# One row per tunable: (flag, field, metavar, help). Each flag's default,
+# type and "(default: ...)" text come from the field's own default.
+_FLAG_TABLES = {
+    MarkerParams: ("marker detection", (
+        ("--marker-rail", "marker_rail", "RAIL", "rail carrying the stress markers"),
+        ("--smooth-window", "smooth_window", "S", "moving-average window in seconds"),
+        ("--hi", "hi_fraction", "F", "rise threshold as a fraction of the smoothed range"),
+        ("--lo", "lo_fraction", "F", "fall threshold as a fraction of the smoothed range"),
+        ("--min-duration", "min_duration", "S", "shortest accepted marker in seconds"),
+        ("--max-duration", "max_duration", "S", "longest accepted marker in seconds"),
+    )),
+    CompareParams: ("comparison", (
+        ("--window", "window", "S", "windowed-mean width in seconds"),
+        ("--rel-threshold", "rel_threshold", "F", "relative increment threshold"),
+        ("--abs-threshold", "abs_threshold", "W", "absolute increment threshold in watts"),
+        ("--max-lag", "max_lag", "F", "lag search bound as a fraction of segment length"),
+        ("--spike-k", "spike_k", "K", "MAD multiplier for spike detection"),
+        ("--spike-window", "spike_window", "S", "rolling window for spike statistics in seconds"),
+    )),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, params: type) -> None:
+    title, rows = _FLAG_TABLES[params]
+    group = parser.add_argument_group(title)
+    for flag, name, metavar, text in rows:
+        default = to_wire(getattr(params, name))
+        group.add_argument(flag, dest=name, type=type(default), default=default,
+                           metavar=metavar, help=f"{text} (default: {default})")
+
+
+def _params(params: type, args: argparse.Namespace):
+    """A *params* instance from the flags of its table; an enum field is read by wire name."""
+    values = {}
+    for _, name, _, _ in _FLAG_TABLES[params][1]:
+        value, default = getattr(args, name), getattr(params, name)
+        if isinstance(default, Enum):
+            value = from_wire(type(default), value, name.replace("_", " "), PowerTraceError)
+        values[name] = value
     try:
-        rail = RailKind(args.marker_rail)
-    except ValueError:
-        raise PowerTraceError(
-            f"unknown marker rail '{args.marker_rail}' "
-            f"(choose from {', '.join(r.wire_name for r in RAIL_ORDER)})"
-        ) from None
-    try:
-        return MarkerParams(
-            marker_rail=rail,
-            smooth_window=args.smooth_window,
-            hi_fraction=args.hi,
-            lo_fraction=args.lo,
-            min_duration=args.min_duration,
-            max_duration=args.max_duration,
-        )
+        return params(**values)
     except ValueError as exc:
         raise PowerTraceError(str(exc)) from None
-
-
-def _compare_params(args: argparse.Namespace) -> CompareParams:
-    try:
-        return CompareParams(
-            window=args.window,
-            rel_threshold=args.rel_threshold,
-            abs_threshold=args.abs_threshold,
-            max_lag=args.max_lag,
-            spike_k=args.spike_k,
-            spike_window=args.spike_window,
-        )
-    except ValueError as exc:
-        raise PowerTraceError(str(exc)) from None
-
-
-def _add_marker_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("marker detection")
-    group.add_argument("--marker-rail", default="12v_cpu", metavar="RAIL",
-                       help="rail carrying the stress markers (default: 12v_cpu)")
-    group.add_argument("--smooth-window", type=float, default=0.1, metavar="S",
-                       help="moving-average window in seconds (default: 0.1)")
-    group.add_argument("--hi", type=float, default=0.6, metavar="F",
-                       help="rise threshold as a fraction of the smoothed range (default: 0.6)")
-    group.add_argument("--lo", type=float, default=0.4, metavar="F",
-                       help="fall threshold as a fraction of the smoothed range (default: 0.4)")
-    group.add_argument("--min-duration", type=float, default=3.0, metavar="S",
-                       help="shortest accepted marker in seconds (default: 3.0)")
-    group.add_argument("--max-duration", type=float, default=8.0, metavar="S",
-                       help="longest accepted marker in seconds (default: 8.0)")
-
-
-def _add_compare_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("comparison")
-    group.add_argument("--window", type=float, default=1.0, metavar="S",
-                       help="windowed-mean width in seconds (default: 1.0)")
-    group.add_argument("--rel-threshold", type=float, default=0.02, metavar="F",
-                       help="relative increment threshold (default: 0.02)")
-    group.add_argument("--abs-threshold", type=float, default=0.05, metavar="W",
-                       help="absolute increment threshold in watts (default: 0.05)")
-    group.add_argument("--max-lag", type=float, default=0.10, metavar="F",
-                       help="lag search bound as a fraction of segment length (default: 0.10)")
-    group.add_argument("--spike-k", type=float, default=6.0, metavar="K",
-                       help="MAD multiplier for spike detection (default: 6.0)")
-    group.add_argument("--spike-window", type=float, default=1.0, metavar="S",
-                       help="rolling window for spike statistics in seconds (default: 1.0)")
 
 
 class AnalyzedRun:
@@ -335,8 +315,8 @@ def _report_from_json(obj: dict, source: str) -> ComparisonReport:
         if not isinstance(obj, dict):
             raise TypeError(f"expected an object, got {obj!r}")
         return ComparisonReport(
-            kind=ComparisonKind(obj["kind"]),
-            rail=RailKind(obj["rail"]),
+            kind=from_wire(ComparisonKind, obj["kind"], "kind", ValueError),
+            rail=from_wire(RailKind, obj["rail"], "rail", ValueError),
             baseline_median_w=scalar(float, "baseline_median_w"),
             suspect_median_w=scalar(float, "suspect_median_w"),
             delta_w=scalar(float, "delta_w"),
@@ -349,7 +329,7 @@ def _report_from_json(obj: dict, source: str) -> ComparisonReport:
             lag_zero_variance=scalar(bool, "lag_zero_variance"),
             baseline_spikes=scalar(int, "baseline_spikes"),
             suspect_spikes=scalar(int, "suspect_spikes"),
-            verdict=Verdict(obj["verdict"]),
+            verdict=from_wire(Verdict, obj["verdict"], "verdict", ValueError),
             noisy=wire_scalar(bool, obj.get("noisy", False), "noisy", ValueError),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -374,9 +354,28 @@ def _aggregate_payload(dataset_reports: list[list[ComparisonReport]]) -> dict:
     }
 
 
+def _refuse_shared_outputs(planned) -> None:
+    """Refuse two different inputs that would write one output file.
+
+    *planned* yields (captures an output is made from, output) pairs.
+    Inputs that resolve to the same files write the same bytes, so they may repeat.
+    """
+    first: dict[str, tuple[Path, ...]] = {}
+    for inputs, output in planned:
+        other = first.setdefault(os.path.realpath(output), inputs)
+        if list(map(os.path.realpath, other)) != list(map(os.path.realpath, inputs)):
+            names = [" + ".join(map(str, dict.fromkeys(paths))) for paths in (other, inputs)]
+            raise PowerTraceError(f"{output} would be written for both {names[0]} and {names[1]}")
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     config, overrides = load_scenario(args.config)
     out_dir = _output_dir(args.out)
+    if args.datasets < 1:
+        raise PowerTraceError(f"--datasets must be >= 1, got {args.datasets}")
+    if overrides is not None and len(overrides) != args.datasets:
+        raise PowerTraceError(f"scenario.dataset_infections has {len(overrides)} entries "
+                              f"for --datasets {args.datasets}")
     check_ensemble(config, args.datasets, overrides)
     cal = CalibrationConfig()
     # One dataset at a time: each run is written and dropped before the
@@ -393,16 +392,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    params = _marker_params(args)
+    params = _params(MarkerParams, args)
     out = _output_dir(args.out) if args.out else None
+    captures = [Path(capture) for capture in args.captures]
+    report_paths = [(out or path.parent) / f"{path.stem}.analysis.json" for path in captures]
+    # A capture's plot files share its report's directory and stem.
+    _refuse_shared_outputs(((path,), report) for path, report in zip(captures, report_paths))
     status = 0
     with _PlotWriter() as plots:
-        for capture in args.captures:
-            sample_path = Path(capture)
+        for sample_path, report_path in zip(captures, report_paths):
             try:
                 analyzed = _analyze(sample_path, params)
-                out_dir = out or sample_path.parent
-                report_path = out_dir / f"{sample_path.stem}.analysis.json"
                 _write_json(report_path, _analysis_payload(analyzed), stamp=args.stamp)
             except PowerTraceError as exc:
                 status |= plots.wait() | _fail(str(exc))
@@ -410,7 +410,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             # The previous capture's plot files are complete, and reported,
             # before this capture's are started.
             status |= plots.wait()
-            tables = _plot_tables(analyzed, out_dir, sample_path.stem)
+            tables = _plot_tables(analyzed, report_path.parent, sample_path.stem)
             plots.start(sample_path, analyzed.sample_period, tables,
                         f"analyzed {sample_path}: {len(analyzed.markers)} markers, "
                         f"{len(analyzed.segments)} segments -> {report_path.name}, "
@@ -437,21 +437,18 @@ def _check_same_period(pre_path: Path, pre: AnalyzedRun, path: Path, other: Anal
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    marker_params = _marker_params(args)
-    compare_params = _compare_params(args)
+    marker_params = _params(MarkerParams, args)
+    compare_params = _params(CompareParams, args)
     pre_paths = [Path(p) for p in args.pre]
     post_paths = [Path(p) for p in args.post] if args.post else pre_paths
-    if len(post_paths) != len(pre_paths):
-        return _fail(
-            f"got {len(pre_paths)} --pre captures but {len(post_paths)} --post captures"
-        )
     reboot_paths = [Path(p) for p in args.post_reboot] if args.post_reboot else None
-    if reboot_paths is not None and len(reboot_paths) != len(pre_paths):
-        return _fail(
-            f"got {len(pre_paths)} --pre captures but {len(reboot_paths)} "
-            f"--post-reboot captures"
-        )
+    for flag, paths in (("--post", post_paths), ("--post-reboot", reboot_paths or pre_paths)):
+        if len(paths) != len(pre_paths):
+            return _fail(f"got {len(pre_paths)} --pre captures but {len(paths)} {flag} captures")
     out = _output_dir(args.out) if args.out else None
+    report_paths = [(out or post.parent) / f"{post.stem}.comparison.json" for post in post_paths]
+    datasets = zip(pre_paths, post_paths, *([reboot_paths] if reboot_paths else []))
+    _refuse_shared_outputs(zip(datasets, report_paths))
 
     dataset_reports: list[list[ComparisonReport]] = []
     report_payloads: list[tuple[Path, dict]] = []
@@ -469,7 +466,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
         dataset_reports.append(reports)
 
-        report_path = (out or post_paths[i].parent) / f"{post_paths[i].stem}.comparison.json"
         payload = {
             "pre_run_id": pre.run_id,
             "post_run_id": post.run_id,
@@ -477,7 +473,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "params": to_wire(compare_params),
             "reports": to_wire(reports),
         }
-        report_payloads.append((report_path, payload))
+        report_payloads.append((report_paths[i], payload))
 
     for report_path, payload in report_payloads:
         _write_json(report_path, payload, stamp=args.stamp)
@@ -532,26 +528,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "multi-rail capture runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    stamp = argparse.ArgumentParser(add_help=False)
+    stamp.add_argument("--stamp", action="store_true",
+                       help="include a wall-clock timestamp in outputs")
 
-    p_synth = sub.add_parser("synth", help="generate seeded synthetic captures")
+    p_synth = sub.add_parser("synth", parents=[stamp], help="generate seeded synthetic captures")
     p_synth.add_argument("--config", required=True, help="scenario JSON file")
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--datasets", type=int, default=1, metavar="N",
                          help="number of datasets to generate (default: 1)")
-    p_synth.add_argument("--stamp", action="store_true",
-                         help="include a wall-clock timestamp in outputs")
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_analyze = sub.add_parser("analyze", help="segment captures and emit reports")
+    p_analyze = sub.add_parser("analyze", parents=[stamp],
+                               help="segment captures and emit reports")
     p_analyze.add_argument("captures", nargs="+", help="capture CSV files")
     p_analyze.add_argument("--out", default=None,
                            help="output directory (default: next to each capture)")
-    p_analyze.add_argument("--stamp", action="store_true",
-                           help="include a wall-clock timestamp in outputs")
-    _add_marker_flags(p_analyze)
+    _add_flags(p_analyze, MarkerParams)
     p_analyze.set_defaults(func=_cmd_analyze)
 
-    p_compare = sub.add_parser("compare", help="run the canonical comparisons")
+    p_compare = sub.add_parser("compare", parents=[stamp], help="run the canonical comparisons")
     p_compare.add_argument("--pre", action="append", required=True, metavar="CSV",
                            help="baseline capture (repeat per dataset)")
     p_compare.add_argument("--post", action="append", default=None, metavar="CSV",
@@ -560,17 +556,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="capture providing post-reboot segments")
     p_compare.add_argument("--out", default=None,
                            help="output directory (default: next to the captures)")
-    p_compare.add_argument("--stamp", action="store_true",
-                           help="include a wall-clock timestamp in outputs")
-    _add_marker_flags(p_compare)
-    _add_compare_flags(p_compare)
+    _add_flags(p_compare, MarkerParams)
+    _add_flags(p_compare, CompareParams)
     p_compare.set_defaults(func=_cmd_compare)
 
-    p_agg = sub.add_parser("aggregate", help="fold comparison reports into fractions")
+    p_agg = sub.add_parser("aggregate", parents=[stamp],
+                           help="fold comparison reports into fractions")
     p_agg.add_argument("reports", nargs="+", help="comparison JSON files")
     p_agg.add_argument("--out", default=".", help="output directory (default: .)")
-    p_agg.add_argument("--stamp", action="store_true",
-                       help="include a wall-clock timestamp in outputs")
     p_agg.set_defaults(func=_cmd_aggregate)
 
     return parser

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AggregationError, AlignmentError, ComparisonError
-from .model import RAIL_ORDER, EventKind, MachineState, RailKind
+from .model import DEFAULT_SAMPLE_PERIOD_S, RAIL_ORDER, EventKind, MachineState, RailKind
 from .power import window_sample_count, windowed_means
 from .segment import EventSegment
 
@@ -307,9 +307,9 @@ def _sorted_median_mad(
 
 def detect_spikes(
     power: np.ndarray,
-    spike_k: float = 6.0,
-    spike_window: float = 1.0,
-    sample_period: float = 0.010,
+    spike_k: float = CompareParams.spike_k,
+    spike_window: float = CompareParams.spike_window,
+    sample_period: float = DEFAULT_SAMPLE_PERIOD_S,
 ) -> int:
     """Count maximal runs of samples exceeding rolling median + k * MAD."""
     x = np.asarray(power, dtype=np.float64)
@@ -327,7 +327,7 @@ def classify_increment(
     baseline: np.ndarray,
     suspect: np.ndarray,
     params: CompareParams | None = None,
-    sample_period: float = 0.010,
+    sample_period: float = DEFAULT_SAMPLE_PERIOD_S,
 ) -> ComparisonReport:
     """Decide INCREMENT or NO_INCREMENT for one baseline/suspect pair.
 
@@ -402,7 +402,7 @@ def run_canonical_comparisons(
     pre_pool: SegmentPool,
     post_pool: SegmentPool,
     params: CompareParams | None = None,
-    sample_period: float = 0.010,
+    sample_period: float = DEFAULT_SAMPLE_PERIOD_S,
 ) -> list[ComparisonReport]:
     """All five canonical comparisons on all four rails (20 reports).
 

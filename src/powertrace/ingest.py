@@ -27,16 +27,17 @@ import numpy as np
 from .errors import AdcRangeError, CaptureFormatError, ManifestError, PowerTraceError, TimingError
 from .model import (
     RAIL_ORDER,
-    STATE_BY_WIRE,
     CaptureRun,
     EventKind,
+    MachineState,
     RailKind,
     RunSchedule,
+    from_wire,
     to_wire,
     wire_scalar,
 )
 
-SAMPLE_HEADER = "t_s,v_3v3,i_3v3,v_5v,i_5v,v_12v_mb,i_12v_mb,v_12v_cpu,i_12v_cpu"
+SAMPLE_HEADER = ",".join(["t_s"] + [f"{q}_{rail.wire_name}" for rail in RAIL_ORDER for q in "vi"])
 _COLUMNS = SAMPLE_HEADER.split(",")
 
 # Default voltage divider: a 12 V rail must land inside the +-10 V ADC input
@@ -147,6 +148,11 @@ def _require_object(value, context: str) -> dict:
     return value
 
 
+def _manifest_error(context: str):
+    """A ManifestError factory whose messages start with *context*."""
+    return lambda message: ManifestError(f"{context}: {message}")
+
+
 def _calibration_from_json(obj: dict) -> CalibrationConfig:
     _require_object(obj, "manifest calibration")
     for key in ("adc_bits", "adc_full_scale", "voltage_scale", "current_scale"):
@@ -156,10 +162,7 @@ def _calibration_from_json(obj: dict) -> CalibrationConfig:
     for name in ("voltage_scale", "current_scale"):
         per_rail: dict[RailKind, float] = {}
         for rail_name, value in _require_object(obj[name], f"calibration {name}").items():
-            try:
-                rail = RailKind(rail_name)
-            except ValueError:
-                raise ManifestError(f"calibration {name}: unknown rail name '{rail_name}'") from None
+            rail = from_wire(RailKind, rail_name, "rail name", _manifest_error(f"calibration {name}"))
             context = f"calibration {name}[{rail_name}]"
             per_rail[rail] = wire_scalar(float, value, context, ManifestError)
         for rail in RAIL_ORDER:
@@ -186,14 +189,9 @@ def _schedule_from_json(entries: list) -> RunSchedule:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "state" not in entry or "event" not in entry:
             raise ManifestError(f"schedule entry {i} must be an object with 'state' and 'event'")
-        state = STATE_BY_WIRE.get(str(entry["state"]))
-        if state is None:
-            raise ManifestError(f"schedule entry {i}: unknown state '{entry['state']}'")
-        try:
-            event = EventKind(entry["event"])
-        except ValueError:
-            raise ManifestError(f"schedule entry {i}: unknown event '{entry['event']}'") from None
-        parsed.append((state, event))
+        error = _manifest_error(f"schedule entry {i}")
+        parsed.append((from_wire(MachineState, entry["state"], "state", error),
+                       from_wire(EventKind, entry["event"], "event", error)))
     return RunSchedule(entries=tuple(parsed))
 
 

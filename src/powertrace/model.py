@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
 from types import MappingProxyType
@@ -57,10 +57,6 @@ class MachineState(IntEnum):
         return self.name.lower()
 
 
-# MachineState's values are its order, so its wire names need their own map.
-STATE_BY_WIRE: dict[str, MachineState] = {state.wire_name: state for state in MachineState}
-
-
 class EventKind(Enum):
     """Scripted workload captured between one marker pair.
 
@@ -88,6 +84,15 @@ def to_wire(value):
     if isinstance(value, list):
         return [to_wire(v) for v in value]
     return value
+
+
+def from_wire(kind: type[Enum], value, what: str, error: Callable[[str], Exception]):
+    """The member of *kind* whose wire name is *value*; else raises *error*."""
+    for member in kind:
+        if to_wire(member) == value:
+            return member
+    names = ", ".join(to_wire(member) for member in kind)
+    raise error(f"unknown {what} {value!r} (choose from {names})")
 
 
 def wire_scalar(kind: type, value, context: str, error: type[Exception]):

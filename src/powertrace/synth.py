@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ScenarioConfigError
 from .model import (
+    DEFAULT_SAMPLE_PERIOD_S,
     RAIL_NOMINAL_VOLTAGE,
     RAIL_ORDER,
     CaptureRun,
@@ -106,7 +107,7 @@ class ScenarioConfig:
     """Everything that determines a generated run, including the seed."""
 
     seed: int
-    sample_period: float = 0.010
+    sample_period: float = DEFAULT_SAMPLE_PERIOD_S
     rootkit_label: str = "synthetic"
     baseline_power: dict[RailKind, dict[EventKind, float]] = field(
         default_factory=_default_baseline_power

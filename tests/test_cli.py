@@ -1,11 +1,13 @@
 """End-to-end tests driving the command line in process."""
 
+import dataclasses
 import errno
 import gc
 import json
 import multiprocessing
 import multiprocessing.connection
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +33,7 @@ from powertrace import (
 from powertrace import cli
 from powertrace.cli import main
 from powertrace.ingest import SAMPLE_HEADER, manifest_path_for, write_series_csv
+from powertrace.model import to_wire
 
 SCENARIO = {
     "seed": 77,
@@ -308,6 +311,30 @@ def test_an_impossible_sample_count_fails_before_any_output(tmp_path, capsys, sc
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "dataset_infections, datasets, message",
+    [
+        (None, "0", "--datasets must be >= 1, got 0"),
+        (None, "-2", "--datasets must be >= 1, got -2"),
+        ([None, {}], "1", "scenario.dataset_infections has 2 entries for --datasets 1"),
+        ([{}], "3", "scenario.dataset_infections has 1 entries for --datasets 3"),
+    ],
+    ids=["zero", "negative", "two_for_one", "one_for_three"],
+)
+def test_a_bad_dataset_count_names_the_flag_and_the_scenario_key(
+    tmp_path, capsys, dataset_infections, datasets, message
+):
+    scenario = dict(SCENARIO)
+    if dataset_infections is not None:
+        scenario["dataset_infections"] = dataset_infections
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(scenario), encoding="ascii")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(config), "--out", str(out), "--datasets", datasets]) == 1
+    assert _one_error_line(capsys) == f"powertrace: {message}"
+    assert not out.exists()
+
+
 def test_a_run_too_large_to_allocate_fails_in_one_line(workdir, tmp_path, capsys):
     with mock.patch("powertrace.synth.np.empty", side_effect=MemoryError):
         assert main(["synth", "--config", str(workdir.config), "--out", str(tmp_path)]) == 1
@@ -399,6 +426,17 @@ def test_aggregate_rejects_an_inexact_report_scalar(compared, tmp_path, capsys, 
     path = _report_with(compared, tmp_path, key, token)
     assert main(["aggregate", str(path), "--out", str(tmp_path)]) == 1
     assert f"{path}: malformed comparison report ({key}: expected " in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key", ["kind", "rail", "verdict"])
+@pytest.mark.parametrize("token", ['"3V3"', "null", '["x"]'], ids=["3V3", "null", "list"])
+def test_aggregate_rejects_an_unknown_report_name(compared, tmp_path, capsys, key, token):
+    path = _report_with(compared, tmp_path, key, token)
+    assert main(["aggregate", str(path), "--out", str(tmp_path)]) == 1
+    value = repr(json.loads(token))
+    assert f"{path}: malformed comparison report (unknown {key} {value} (choose from " in (
+        _one_error_line(capsys)
+    )
 
 
 @pytest.mark.parametrize("key, token", [("delta_w", "0"), ("lag_s", "0"), ("noisy", "false")])
@@ -562,12 +600,67 @@ def test_compare_rejects_captures_of_different_sample_periods(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_compare_refuses_datasets_that_share_a_report_file(tmp_path, capsys):
+    # The README's repeated --pre, with captures from two directories that
+    # share a stem. Neither exists: the refusal comes before either is read.
+    first, second = tmp_path / "d1" / "post.csv", tmp_path / "d2" / "post.csv"
+    out = tmp_path / "r"
+    assert main(["compare", "--pre", str(first), "--pre", str(second), "--out", str(out)]) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {out / 'post.comparison.json'} would be written for both "
+        f"{first} and {second}"
+    )
+    # One --post for two different --pre captures.
+    argv = ["compare", "--pre", str(first), "--post", str(second),
+            "--pre", str(tmp_path / "d3.csv"), "--post", str(second), "--out", str(out)]
+    assert main(argv) == 1
+    assert "would be written for both" in _one_error_line(capsys)
+    assert not out.exists()
+    # The same capture twice, however spelled, may write the same file:
+    # the command goes on to read it.
+    again = tmp_path / "d1" / ".." / "d1" / "post.csv"
+    assert main(["compare", "--pre", str(first), "--pre", str(again), "--out", str(out)]) == 1
+    assert f"powertrace: {first}: " in _one_error_line(capsys)
+
+
+_MARKER_FLAGS = {
+    "--marker-rail": "marker_rail", "--smooth-window": "smooth_window", "--hi": "hi_fraction",
+    "--lo": "lo_fraction", "--min-duration": "min_duration", "--max-duration": "max_duration",
+}
+_COMPARE_FLAGS = {
+    "--window": "window", "--rel-threshold": "rel_threshold",
+    "--abs-threshold": "abs_threshold", "--max-lag": "max_lag", "--spike-k": "spike_k",
+    "--spike-window": "spike_window",
+}
+
+
+@pytest.mark.parametrize(
+    "command, tables",
+    [("analyze", [(powertrace.MarkerParams, _MARKER_FLAGS)]),
+     ("compare", [(powertrace.MarkerParams, _MARKER_FLAGS),
+                  (powertrace.CompareParams, _COMPARE_FLAGS)])],
+    ids=["analyze", "compare"],
+)
+def test_help_lists_each_flag_with_its_parameter_default(capsys, command, tables):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for params, flags in tables:
+        assert sorted(flags.values()) == sorted(f.name for f in dataclasses.fields(params))
+        for flag, name in flags.items():
+            default = re.escape(str(to_wire(getattr(params(), name))))
+            assert re.search(rf"{flag} [A-Z]+ [^()]*\(default: {default}\)", text), flag
+
+
 def test_flag_defaults_equal_the_parameter_defaults():
     parser = cli.build_parser()
     for argv in (["analyze", "x.csv"], ["compare", "--pre", "x.csv"]):
-        assert cli._marker_params(parser.parse_args(argv)) == powertrace.MarkerParams()
+        assert cli._params(powertrace.MarkerParams, parser.parse_args(argv)) == (
+            powertrace.MarkerParams()
+        )
     args = parser.parse_args(["compare", "--pre", "x.csv"])
-    assert cli._compare_params(args) == powertrace.CompareParams()
+    assert cli._params(powertrace.CompareParams, args) == powertrace.CompareParams()
 
 
 def test_python_dash_m_runs_the_cli():
@@ -767,14 +860,20 @@ def test_a_failed_plot_write_is_reported_before_the_next_capture(
     assert {name: (out / name).read_bytes() for name in alone} == alone
 
 
-def test_captures_sharing_a_stem_leave_the_last_ones_outputs(workdir, second_capture, tmp_path):
-    first = _copy_capture(workdir.sample, tmp_path / "a" / "x.csv")
-    last = _copy_capture(second_capture, tmp_path / "b" / "x.csv")
-    alone = _analyzed_alone(last, tmp_path / "alone")
+def test_captures_sharing_a_stem_are_refused_before_any_read(
+    workdir, second_capture, tmp_path, capsys
+):
+    # Neither capture exists: the refusal comes before either is read.
+    first, last = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
     out = tmp_path / "out"
-    assert main(["analyze", str(first), str(last), "--out", str(out)]) == 0
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == alone
+    assert main(["analyze", str(first), str(last), "--out", str(out)]) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {out / 'x.analysis.json'} would be written for both {first} and {last}"
+    )
+    assert not out.exists()
     # The same capture twice, with the outputs written next to it.
+    last = _copy_capture(second_capture, last)
+    alone = _analyzed_alone(last, tmp_path / "alone")
     assert main(["analyze", str(last), str(last)]) == 0
     assert {name: (last.parent / name).read_bytes() for name in alone} == alone
 
@@ -848,7 +947,8 @@ def test_compare_holds_one_capture_table_at_a_time(workdir, second_capture, tmp_
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_analyze_holds_one_capture_table_at_a_time(workdir, second_capture, tmp_path, cpus):
-    captures = [workdir.sample, second_capture.with_name(f"{STEM}.csv"), second_capture]
-    argv = ["analyze", *map(str, captures), "--out", str(tmp_path)]
+    copy = _copy_capture(workdir.sample, tmp_path / "copy.csv")
+    captures = [workdir.sample, copy, second_capture]
+    argv = ["analyze", *map(str, captures), "--out", str(tmp_path / "out")]
     with mock.patch("powertrace.cli._usable_cpus", return_value=cpus):
         assert _tables_alive_at_each_read(argv) == [0, 0, 0]

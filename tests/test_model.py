@@ -13,7 +13,7 @@ from powertrace import (
     RunSchedule,
     generate_run,
 )
-from powertrace.model import STATE_BY_WIRE
+from powertrace.model import from_wire
 
 
 def test_rail_wire_names_and_order():
@@ -34,7 +34,8 @@ def test_nominal_voltages():
 def test_machine_states_are_totally_ordered():
     assert MachineState.PRE_INFECTION < MachineState.POST_INFECTION < MachineState.POST_INFECTION_REBOOT
     assert len(MachineState) == 3
-    assert STATE_BY_WIRE["post_infection_reboot"] is MachineState.POST_INFECTION_REBOOT
+    state = from_wire(MachineState, "post_infection_reboot", "state", ValueError)
+    assert state is MachineState.POST_INFECTION_REBOOT
 
 
 def test_event_kinds():
