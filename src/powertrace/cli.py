@@ -207,11 +207,14 @@ def _analysis_payload(analyzed: AnalyzedRun) -> dict:
     }
 
 
+def _plot_paths(out_dir: Path, stem: str) -> list[Path]:
+    return [out_dir / f"{stem}.plot.{rail.wire_name}.csv" for rail in RAIL_ORDER]
+
+
 def _plot_tables(analyzed: AnalyzedRun, out_dir: Path, stem: str) -> list[tuple]:
     return [
-        (out_dir / f"{stem}.plot.{rail.wire_name}.csv", "time_s,power_w",
-         [analyzed.powers[rail].power])
-        for rail in RAIL_ORDER
+        (path, "time_s,power_w", [analyzed.powers[rail].power])
+        for path, rail in zip(_plot_paths(out_dir, stem), RAIL_ORDER)
     ]
 
 
@@ -354,18 +357,28 @@ def _aggregate_payload(dataset_reports: list[list[ComparisonReport]]) -> dict:
     }
 
 
-def _refuse_shared_outputs(planned) -> None:
-    """Refuse two different inputs that would write one output file.
+def _refuse_shared_outputs(planned: list) -> None:
+    """Refuse an output file that is an input capture or manifest, or that
+    two different inputs would write.
 
-    *planned* yields (captures an output is made from, output) pairs.
+    *planned* lists (captures an output is made from, output) pairs.
     Inputs that resolve to the same files write the same bytes, so they may repeat.
     """
+    def named(paths) -> str:
+        return " + ".join(map(str, dict.fromkeys(paths)))
+
+    read = {os.path.realpath(path): path for inputs, _ in planned for capture in inputs
+            for path in (capture, manifest_path_for(capture))}
     first: dict[str, tuple[Path, ...]] = {}
     for inputs, output in planned:
-        other = first.setdefault(os.path.realpath(output), inputs)
+        resolved = os.path.realpath(output)
+        if resolved in read:
+            raise PowerTraceError(f"{output} would be written for {named(inputs)}, "
+                                  f"but it is the input file {read[resolved]}")
+        other = first.setdefault(resolved, inputs)
         if list(map(os.path.realpath, other)) != list(map(os.path.realpath, inputs)):
-            names = [" + ".join(map(str, dict.fromkeys(paths))) for paths in (other, inputs)]
-            raise PowerTraceError(f"{output} would be written for both {names[0]} and {names[1]}")
+            raise PowerTraceError(
+                f"{output} would be written for both {named(other)} and {named(inputs)}")
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -397,7 +410,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     captures = [Path(capture) for capture in args.captures]
     report_paths = [(out or path.parent) / f"{path.stem}.analysis.json" for path in captures]
     # A capture's plot files share its report's directory and stem.
-    _refuse_shared_outputs(((path,), report) for path, report in zip(captures, report_paths))
+    _refuse_shared_outputs([((path,), output) for path, report in zip(captures, report_paths)
+                            for output in (report, *_plot_paths(report.parent, path.stem))])
     status = 0
     with _PlotWriter() as plots:
         for sample_path, report_path in zip(captures, report_paths):
@@ -447,8 +461,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             return _fail(f"got {len(pre_paths)} --pre captures but {len(paths)} {flag} captures")
     out = _output_dir(args.out) if args.out else None
     report_paths = [(out or post.parent) / f"{post.stem}.comparison.json" for post in post_paths]
+    agg_path = (out or pre_paths[0].parent) / "aggregate.json"
     datasets = zip(pre_paths, post_paths, *([reboot_paths] if reboot_paths else []))
-    _refuse_shared_outputs(zip(datasets, report_paths))
+    every_capture = (*pre_paths, *post_paths, *(reboot_paths or ()))
+    _refuse_shared_outputs([*zip(datasets, report_paths), (every_capture, agg_path)])
 
     dataset_reports: list[list[ComparisonReport]] = []
     report_payloads: list[tuple[Path, dict]] = []
@@ -479,7 +495,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _write_json(report_path, payload, stamp=args.stamp)
         _note(f"wrote {report_path}")
 
-    agg_path = (out or pre_paths[0].parent) / "aggregate.json"
     _write_json(agg_path, _aggregate_payload(dataset_reports), stamp=args.stamp)
     _note(f"wrote {agg_path}")
     return 0

@@ -6,6 +6,7 @@ threads. A CaptureRun checks its invariants when it is built.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Callable, Mapping
@@ -86,13 +87,20 @@ def to_wire(value):
     return value
 
 
+@functools.cache
+def _members_by_wire(kind: type[Enum]) -> dict:
+    """{wire name: member} for *kind*, in member order; built once per enum."""
+    return {to_wire(member): member for member in kind}
+
+
 def from_wire(kind: type[Enum], value, what: str, error: Callable[[str], Exception]):
     """The member of *kind* whose wire name is *value*; else raises *error*."""
-    for member in kind:
-        if to_wire(member) == value:
-            return member
-    names = ", ".join(to_wire(member) for member in kind)
-    raise error(f"unknown {what} {value!r} (choose from {names})")
+    members = _members_by_wire(kind)
+    try:
+        return members[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value, such as a list
+        pass
+    raise error(f"unknown {what} {value!r} (choose from {', '.join(members)})")
 
 
 def wire_scalar(kind: type, value, context: str, error: type[Exception]):
@@ -102,6 +110,8 @@ def wire_scalar(kind: type, value, context: str, error: type[Exception]):
     float is a finite int or float and not a bool. Anything else raises
     *error* naming *context*.
     """
+    if type(value) is kind and (kind is not float or math.isfinite(value)):
+        return value  # the common case: exactly the JSON type asked for
     if isinstance(value, bool) == (kind is bool):
         if kind is float and isinstance(value, int) and abs(value) <= sys.float_info.max:
             return float(value)

@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import gc
+import hashlib
 import json
 import multiprocessing
 import multiprocessing.connection
@@ -445,6 +446,22 @@ def test_aggregate_reads_well_formed_report_scalars(compared, tmp_path, key, tok
     assert main(["aggregate", str(path), "--out", str(tmp_path)]) == 0
 
 
+def test_report_decoding_makes_no_per_report_wire_scan(compared):
+    # Timing-free: a decoder that scans an enum's members per value calls
+    # to_wire for each report, so 1,000 reports would make more calls than 1.
+    payload = json.loads((compared / f"{STEM}.comparison.json").read_text())
+    entry = payload["reports"][0]
+    cli._report_from_json(entry, "warm-up")
+    calls = []
+    with mock.patch("powertrace.model.to_wire", side_effect=powertrace.model.to_wire) as wrapped:
+        for n in (1, 1000):
+            wrapped.reset_mock()
+            decoded = [cli._report_from_json(entry, "report") for _ in range(n)]
+            calls.append(wrapped.call_count)
+            assert len(set(decoded)) == 1
+    assert calls[0] == calls[1]
+
+
 def test_aggregate_rejects_a_fold_with_different_params(compared, tmp_path, capsys):
     report = compared / f"{STEM}.comparison.json"
     copy = tmp_path / "copy.comparison.json"
@@ -621,6 +638,23 @@ def test_compare_refuses_datasets_that_share_a_report_file(tmp_path, capsys):
     again = tmp_path / "d1" / ".." / "d1" / "post.csv"
     assert main(["compare", "--pre", str(first), "--pre", str(again), "--out", str(out)]) == 1
     assert f"powertrace: {first}: " in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("output", ["aggregate.json", "post.comparison.json"])
+def test_compare_refuses_an_output_that_is_one_of_its_inputs(tmp_path, capsys, output):
+    # The output is a link to the --post capture's manifest. No capture
+    # exists: the refusal comes before any is read, and the link target is kept.
+    pre, post = tmp_path / "pre.csv", tmp_path / "post.csv"
+    manifest = manifest_path_for(post)
+    manifest.write_text("{}", encoding="ascii")
+    (tmp_path / output).symlink_to(manifest.name)
+    assert main(["compare", "--pre", str(pre), "--post", str(post), "--out", str(tmp_path)]) == 1
+    inputs = f"{pre} + {post}"
+    assert _one_error_line(capsys) == (
+        f"powertrace: {tmp_path / output} would be written for {inputs}, "
+        f"but it is the input file {manifest}"
+    )
+    assert manifest.read_text(encoding="ascii") == "{}"
 
 
 _MARKER_FLAGS = {
@@ -876,6 +910,30 @@ def test_captures_sharing_a_stem_are_refused_before_any_read(
     alone = _analyzed_alone(last, tmp_path / "alone")
     assert main(["analyze", str(last), str(last)]) == 0
     assert {name: (last.parent / name).read_bytes() for name in alone} == alone
+
+
+def test_analyze_refuses_an_output_that_is_one_of_its_inputs(
+    workdir, second_capture, tmp_path, capsys
+):
+    # x.csv's 3v3 plot file is the second capture: it used to be overwritten.
+    first = _copy_capture(workdir.sample, tmp_path / "c" / "x.csv")
+    second = _copy_capture(second_capture, tmp_path / "c" / "x.plot.3v3.csv")
+    before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in first.parent.iterdir()}
+    assert main(["analyze", str(first), str(second)]) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {second} would be written for {first}, but it is the input file {second}"
+    )
+    after = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in first.parent.iterdir()}
+    assert after == before
+    # Paths are compared resolved: a report that links to the manifest is refused.
+    manifest = manifest_path_for(first)
+    (first.parent / "x.analysis.json").symlink_to(manifest.name)
+    assert main(["analyze", str(first)]) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {first.parent / 'x.analysis.json'} would be written for {first}, "
+        f"but it is the input file {manifest}"
+    )
+    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == before[manifest.name]
 
 
 _PARENT_PID = os.getpid()

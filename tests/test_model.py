@@ -1,5 +1,10 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import compact_scenario
 from powertrace import (
@@ -13,7 +18,8 @@ from powertrace import (
     RunSchedule,
     generate_run,
 )
-from powertrace.model import from_wire
+from powertrace.compare import ComparisonKind, Verdict
+from powertrace.model import from_wire, to_wire, wire_scalar
 
 
 def test_rail_wire_names_and_order():
@@ -134,3 +140,97 @@ def test_validate_run_reports_empty_schedule():
 def test_capture_run_names_every_violation():
     with pytest.raises(ValueError, match="dataset_index .*; schedule has no entries"):
         _tiny_run(dataset_index=0, schedule=RunSchedule(entries=()))
+
+
+# The two wire decoders before their constant-time forms, kept as oracles:
+# the new forms must return the same values and raise the same errors.
+
+
+def _scanning_from_wire(kind, value, what, error):
+    for member in kind:
+        if to_wire(member) == value:
+            return member
+    names = ", ".join(to_wire(member) for member in kind)
+    raise error(f"unknown {what} {value!r} (choose from {names})")
+
+
+def _checking_wire_scalar(kind, value, context, error):
+    if isinstance(value, bool) == (kind is bool):
+        if kind is float and isinstance(value, int) and abs(value) <= sys.float_info.max:
+            return float(value)
+        if isinstance(value, kind) and (kind is not float or math.isfinite(value)):
+            return value
+    raise error(f"{context}: expected {kind.__name__}, got {value!r}")
+
+
+def _outcome(decode, *args):
+    """(type, repr) of what *decode* returns, or (error class, message) of what it raises."""
+    try:
+        result = decode(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        return type(exc), str(exc)
+    return type(result), repr(result)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+CONTAINERS = st.one_of(
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+)
+WIRE_SCALARS = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([10**400, -(10**400), 2**1024, float("nan"), float("inf"),
+                     float("-inf"), -0.0, sys.float_info.max]),
+    st.floats(),
+    st.builds(_Int, st.integers()),
+    st.builds(_Float, st.floats()),
+    st.builds(_Str, st.text(max_size=4)),
+    st.text(max_size=4),
+    st.none(),
+    CONTAINERS,
+)
+
+
+@given(kind=st.sampled_from([int, float, bool, str]), value=WIRE_SCALARS)
+def test_wire_scalar_equals_the_checking_decoder(kind, value):
+    args = (kind, value, "field", ValueError)
+    assert _outcome(wire_scalar, *args) == _outcome(_checking_wire_scalar, *args)
+
+
+DECODED_ENUMS = (RailKind, MachineState, EventKind, ComparisonKind, Verdict)
+WIRE_NAMES = [to_wire(member) for kind in DECODED_ENUMS for member in kind]
+
+
+@given(
+    kind=st.sampled_from(DECODED_ENUMS),
+    value=st.one_of(
+        st.sampled_from(WIRE_NAMES),
+        st.sampled_from(WIRE_NAMES).map(str.upper),
+        st.sampled_from(WIRE_NAMES).map(str.title),
+        st.builds(_Str, st.sampled_from(WIRE_NAMES)),
+        st.text(max_size=4),
+        st.none(),
+        st.integers(),
+        st.booleans(),
+        st.floats(),
+        CONTAINERS,
+    ),
+)
+def test_from_wire_equals_the_scanning_decoder(kind, value):
+    args = (kind, value, "name", ValueError)
+    result = _outcome(from_wire, *args)
+    assert result == _outcome(_scanning_from_wire, *args)
+    if result[0] is kind:
+        assert from_wire(*args) is _scanning_from_wire(*args)
