@@ -6,136 +6,47 @@ versus infected profiles. A seeded synthetic testbed generates captures
 with known ground truth for testing.
 """
 
-from .compare import (
-    AggregateCell,
-    AggregateReport,
-    CompareParams,
-    ComparisonKind,
-    ComparisonReport,
-    LagResult,
-    Verdict,
-    aggregate,
-    align,
-    classify_increment,
-    detect_spikes,
-    estimate_lag,
-    run_canonical_comparisons,
-    segment_power_pool,
-)
-from .errors import (
-    AdcRangeError,
-    AggregationError,
-    AlignmentError,
-    CaptureFormatError,
-    ComparisonError,
-    ManifestError,
-    MarkerDetectionError,
-    PowerComputationError,
-    PowerTraceError,
-    ScenarioConfigError,
-    SegmentationError,
-    TimingError,
-)
-from .ingest import (
-    CalibrationConfig,
-    capture_paths,
-    manifest_path_for,
-    quantize,
-    read_capture,
-    write_capture,
-)
-from .model import (
-    DEFAULT_SAMPLE_PERIOD_S,
-    RAIL_NOMINAL_VOLTAGE,
-    RAIL_ORDER,
-    CaptureRun,
-    EventKind,
-    MachineState,
-    PowerSeries,
-    RailKind,
-    RailTrace,
-    RunSchedule,
-)
-from .power import compute_power, window_sample_count, windowed_means
-from .segment import (
-    EventSegment,
-    Marker,
-    MarkerParams,
-    detect_markers,
-    segment_events,
-    smooth_series,
-)
-from .synth import (
-    GroundTruth,
-    InfectionEffect,
-    ScenarioConfig,
-    generate_ensemble,
-    generate_run,
-    ground_truth_to_json,
-    load_scenario,
-    scenario_from_dict,
-)
+import importlib
+
+# Each public name and the module that defines it. Most modules import
+# numpy, so a name is imported on first use (PEP 562): the command line can
+# print --help and run aggregate without loading numpy.
+_EXPORTS = {
+    **dict.fromkeys(("align", "classify_increment", "detect_spikes", "estimate_lag",
+                     "run_canonical_comparisons", "segment_power_pool"), "compare"),
+    **dict.fromkeys(("AdcRangeError", "AggregationError", "AlignmentError", "CaptureFormatError",
+                     "ComparisonError", "ManifestError", "MarkerDetectionError",
+                     "PowerComputationError", "PowerTraceError", "ScenarioConfigError",
+                     "SegmentationError", "TimingError"), "errors"),
+    **dict.fromkeys(("CalibrationConfig", "capture_paths", "manifest_path_for", "quantize",
+                     "read_capture", "write_capture"), "ingest"),
+    **dict.fromkeys(("DEFAULT_SAMPLE_PERIOD_S", "RAIL_NOMINAL_VOLTAGE", "RAIL_ORDER", "CaptureRun",
+                     "EventKind", "MachineState", "PowerSeries", "RailKind", "RailTrace",
+                     "RunSchedule"), "model"),
+    **dict.fromkeys(("compute_power", "window_sample_count", "windowed_means"), "power"),
+    **dict.fromkeys(("AggregateCell", "AggregateReport", "CompareParams", "ComparisonKind",
+                     "ComparisonReport", "LagResult", "MarkerParams", "Verdict", "aggregate"),
+                    "report"),
+    **dict.fromkeys(("EventSegment", "Marker", "detect_markers", "segment_events",
+                     "smooth_series"), "segment"),
+    **dict.fromkeys(("GroundTruth", "InfectionEffect", "ScenarioConfig", "generate_ensemble",
+                     "generate_run", "ground_truth_to_json", "load_scenario",
+                     "scenario_from_dict"), "synth"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdcRangeError",
-    "AggregateCell",
-    "AggregateReport",
-    "AggregationError",
-    "AlignmentError",
-    "CalibrationConfig",
-    "CaptureFormatError",
-    "CaptureRun",
-    "CompareParams",
-    "ComparisonError",
-    "ComparisonKind",
-    "ComparisonReport",
-    "DEFAULT_SAMPLE_PERIOD_S",
-    "EventKind",
-    "EventSegment",
-    "GroundTruth",
-    "InfectionEffect",
-    "LagResult",
-    "MachineState",
-    "ManifestError",
-    "Marker",
-    "MarkerDetectionError",
-    "MarkerParams",
-    "PowerComputationError",
-    "PowerSeries",
-    "PowerTraceError",
-    "RAIL_NOMINAL_VOLTAGE",
-    "RAIL_ORDER",
-    "RailKind",
-    "RailTrace",
-    "RunSchedule",
-    "ScenarioConfig",
-    "ScenarioConfigError",
-    "SegmentationError",
-    "TimingError",
-    "Verdict",
-    "aggregate",
-    "align",
-    "capture_paths",
-    "classify_increment",
-    "compute_power",
-    "detect_markers",
-    "detect_spikes",
-    "estimate_lag",
-    "generate_ensemble",
-    "generate_run",
-    "ground_truth_to_json",
-    "load_scenario",
-    "manifest_path_for",
-    "quantize",
-    "read_capture",
-    "run_canonical_comparisons",
-    "scenario_from_dict",
-    "segment_events",
-    "segment_power_pool",
-    "smooth_series",
-    "window_sample_count",
-    "windowed_means",
-    "write_capture",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,37 +13,58 @@ command on identical inputs rewrites byte-identical files.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .compare import (
-    CompareParams,
-    ComparisonKind,
-    ComparisonReport,
-    SegmentPool,
-    Verdict,
-    aggregate,
-    run_canonical_comparisons,
-    segment_power_pool,
-)
 from .errors import PowerTraceError
-from .ingest import (
-    CalibrationConfig,
-    manifest_path_for,
-    write_capture,
-    write_series_csv,
-    write_text_output,
-)
-from .ingest import read_capture as _read_capture
-from .model import RAIL_ORDER, CaptureRun, MachineState, PowerSeries, RailKind
-from .model import from_wire, to_wire, wire_scalar
-from .power import compute_power
-from .segment import MarkerParams, detect_markers, segment_events
-from .synth import check_ensemble, generate_ensemble, ground_truth_to_json, load_scenario
+from .model import RAIL_ORDER, MachineState, RailKind, from_wire, to_wire, wire_scalar
+from .report import (CompareParams, ComparisonKind, ComparisonReport, MarkerParams, Verdict,
+                     aggregate, write_text_output)
+
+if TYPE_CHECKING:
+    from .compare import SegmentPool
+    from .model import CaptureRun, PowerSeries
+
+# The pipeline stages, by the name this module calls them: each is imported,
+# with numpy, on first use, so --help and aggregate start without numpy.
+# perfbench replaces some of them at this module's globals to trace them,
+# so a command binds them with _load_stages, which keeps a replacement.
+_STAGES = {
+    "CalibrationConfig": "ingest.CalibrationConfig",
+    "_read_capture": "ingest.read_capture",
+    "manifest_path_for": "ingest.manifest_path_for",
+    "write_capture": "ingest.write_capture",
+    "write_series_csv": "ingest.write_series_csv",
+    "compute_power": "power.compute_power",
+    "detect_markers": "segment.detect_markers",
+    "segment_events": "segment.segment_events",
+    "run_canonical_comparisons": "compare.run_canonical_comparisons",
+    "segment_power_pool": "compare.segment_power_pool",
+    "check_ensemble": "synth.check_ensemble",
+    "generate_ensemble": "synth.generate_ensemble",
+    "ground_truth_to_json": "synth.ground_truth_to_json",
+    "load_scenario": "synth.load_scenario",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module, _, attr = _STAGES[name].partition(".")
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __package__), attr)
+
+
+def _load_stages() -> None:
+    """Bind every stage in this module's globals; a name already bound is kept."""
+    for name in _STAGES:
+        globals().setdefault(name, __getattr__(name))
 
 
 def _fail(message: str) -> int:
@@ -138,6 +159,7 @@ class AnalyzedRun:
     """
 
     def __init__(self, run: CaptureRun, marker_params: MarkerParams):
+        _load_stages()
         self.run_id = run.run_id
         self.rootkit_label = run.rootkit_label
         self.dataset_index = run.dataset_index
@@ -382,6 +404,7 @@ def _refuse_shared_outputs(planned: list) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    _load_stages()
     config, overrides = load_scenario(args.config)
     out_dir = _output_dir(args.out)
     if args.datasets < 1:
@@ -405,6 +428,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _load_stages()  # before _PlotWriter forks: its workers then have write_series_csv
     params = _params(MarkerParams, args)
     out = _output_dir(args.out) if args.out else None
     captures = [Path(capture) for capture in args.captures]
@@ -451,6 +475,7 @@ def _check_same_period(pre_path: Path, pre: AnalyzedRun, path: Path, other: Anal
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    _load_stages()
     marker_params = _params(MarkerParams, args)
     compare_params = _params(CompareParams, args)
     pre_paths = [Path(p) for p in args.pre]

@@ -1,131 +1,31 @@
-"""Pairwise comparison of event segments and cross-dataset aggregation.
+"""Pairwise comparison of event segments.
 
 A comparison takes a baseline segment (clean machine) and a suspect
 segment (after rootkit installation) on the same rail and decides whether
 power consumption incremented. The verdict rule is median-of-windowed-
 means with a combined absolute/relative threshold; medians keep spikes
-out of the verdict so they can be counted separately.
+out of the verdict so they can be counted separately. The report types
+and the cross-dataset fold live in report.py, which imports no numpy, and
+are re-exported here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AggregationError, AlignmentError, ComparisonError
+from .errors import AlignmentError, ComparisonError
 from .model import DEFAULT_SAMPLE_PERIOD_S, RAIL_ORDER, EventKind, MachineState, RailKind
 from .power import window_sample_count, windowed_means
+from .report import (COMPARISON_PAIRING, NOISY_KINDS, AggregateCell, AggregateReport,
+                     CompareParams, ComparisonKind, ComparisonReport, LagResult, Verdict, aggregate)
 from .segment import EventSegment
 
 # Floor for the rolling MAD so constant regions cannot flag noise-free
 # samples as spikes.
 MAD_FLOOR_W = 1e-9
-
-
-class ComparisonKind(Enum):
-    """The five canonical baseline/suspect pairings."""
-
-    BOOT_PRE_VS_REBOOT_POST = "boot_pre_vs_reboot_post"
-    IDLE_PRE_VS_IDLE_POST = "idle_pre_vs_idle_post"
-    IDLE_PRE_VS_IDLE_POST_REBOOT = "idle_pre_vs_idle_post_reboot"
-    IE_PRE_VS_IE_POST = "ie_pre_vs_ie_post"
-    IE_PRE_VS_IE_POST_REBOOT = "ie_pre_vs_ie_post_reboot"
-
-    @property
-    def wire_name(self) -> str:
-        return self.value
-
-
-# (baseline (state, event), suspect (state, event)) per comparison kind.
-# The post-infection BOOT entry is the reboot right after installation.
-COMPARISON_PAIRING: dict[
-    ComparisonKind,
-    tuple[tuple[MachineState, EventKind], tuple[MachineState, EventKind]],
-] = {
-    ComparisonKind.BOOT_PRE_VS_REBOOT_POST: (
-        (MachineState.PRE_INFECTION, EventKind.BOOT),
-        (MachineState.POST_INFECTION, EventKind.BOOT),
-    ),
-    ComparisonKind.IDLE_PRE_VS_IDLE_POST: (
-        (MachineState.PRE_INFECTION, EventKind.IDLE),
-        (MachineState.POST_INFECTION, EventKind.IDLE),
-    ),
-    ComparisonKind.IDLE_PRE_VS_IDLE_POST_REBOOT: (
-        (MachineState.PRE_INFECTION, EventKind.IDLE),
-        (MachineState.POST_INFECTION_REBOOT, EventKind.IDLE),
-    ),
-    ComparisonKind.IE_PRE_VS_IE_POST: (
-        (MachineState.PRE_INFECTION, EventKind.OPEN_BROWSER),
-        (MachineState.POST_INFECTION, EventKind.OPEN_BROWSER),
-    ),
-    ComparisonKind.IE_PRE_VS_IE_POST_REBOOT: (
-        (MachineState.PRE_INFECTION, EventKind.OPEN_BROWSER),
-        (MachineState.POST_INFECTION_REBOOT, EventKind.OPEN_BROWSER),
-    ),
-}
-
-# Boot power is dominated by OS startup churn, so boot verdicts carry a
-# noisy flag and deserve less weight downstream.
-NOISY_KINDS = frozenset({ComparisonKind.BOOT_PRE_VS_REBOOT_POST})
-
-
-class Verdict(Enum):
-    INCREMENT = "increment"
-    NO_INCREMENT = "no_increment"
-
-
-@dataclass(frozen=True)
-class CompareParams:
-    """Thresholds and window sizes for the comparison engine."""
-
-    window: float = 1.0
-    rel_threshold: float = 0.02
-    abs_threshold: float = 0.05
-    max_lag: float = 0.10
-    spike_k: float = 6.0
-    spike_window: float = 1.0
-
-    def __post_init__(self):
-        for name in ("window", "rel_threshold", "abs_threshold", "spike_k", "spike_window"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0.0 < self.max_lag <= 0.5:
-            raise ValueError(f"max_lag must be in (0, 0.5], got {self.max_lag}")
-
-
-@dataclass(frozen=True)
-class LagResult:
-    lag_s: float
-    lag_samples: int
-    zero_variance: bool
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Metrics and verdict for one baseline/suspect pairing on one rail.
-
-    kind and rail are None for a bare classify_increment call and filled
-    in by run_canonical_comparisons. relative_increase is None when the
-    baseline median is not positive.
-    """
-
-    kind: ComparisonKind | None
-    rail: RailKind | None
-    baseline_median_w: float
-    suspect_median_w: float
-    delta_w: float
-    relative_increase: float | None
-    lag_s: float
-    lag_samples: int
-    lag_zero_variance: bool
-    baseline_spikes: int
-    suspect_spikes: int
-    verdict: Verdict
-    noisy: bool = False
 
 
 def align(baseline: np.ndarray, suspect: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -436,69 +336,3 @@ def run_canonical_comparisons(
                 )
             )
     return reports
-
-
-@dataclass(frozen=True)
-class AggregateCell:
-    """Increment tally for one (rail, kind) cell across datasets."""
-
-    rail: RailKind
-    kind: ComparisonKind
-    n_datasets: int
-    n_increment: int
-
-    @property
-    def fraction(self) -> float:
-        return self.n_increment / self.n_datasets
-
-    @property
-    def percent_label(self) -> str:
-        return f"{100.0 * self.fraction:.2f}%"
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    cells: tuple[AggregateCell, ...]
-
-    def cell(self, rail: RailKind, kind: ComparisonKind) -> AggregateCell:
-        for c in self.cells:
-            if c.rail is rail and c.kind is kind:
-                return c
-        raise KeyError((rail, kind))
-
-
-def aggregate(dataset_reports: list[list[ComparisonReport]]) -> AggregateReport:
-    """Fold per-dataset comparison reports into increment fractions.
-
-    Every dataset must cover the same (rail, kind) cells exactly once.
-    """
-    if not dataset_reports:
-        raise AggregationError("need at least one dataset")
-    coverage: set[tuple[RailKind, ComparisonKind]] | None = None
-    tallies: dict[tuple[RailKind, ComparisonKind], int] = {}
-    for d, reports in enumerate(dataset_reports):
-        seen: set[tuple[RailKind, ComparisonKind]] = set()
-        for report in reports:
-            if report.kind is None or report.rail is None:
-                raise AggregationError(f"dataset {d}: report without kind/rail labels")
-            key = (report.rail, report.kind)
-            if key in seen:
-                raise AggregationError(
-                    f"dataset {d}: duplicate cell ({report.rail.wire_name}, "
-                    f"{report.kind.wire_name})"
-                )
-            seen.add(key)
-            tallies[key] = tallies.get(key, 0) + (report.verdict is Verdict.INCREMENT)
-        if coverage is None:
-            coverage = seen
-        elif seen != coverage:
-            raise AggregationError(
-                f"dataset {d} covers {len(seen)} cells, expected the same "
-                f"{len(coverage)} cells as dataset 0"
-            )
-    n = len(dataset_reports)
-    cells = tuple(
-        AggregateCell(rail=rail, kind=kind, n_datasets=n, n_increment=count)
-        for (rail, kind), count in tallies.items()
-    )
-    return AggregateReport(cells=cells)

@@ -24,7 +24,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import AdcRangeError, CaptureFormatError, ManifestError, PowerTraceError, TimingError
+from .errors import AdcRangeError, CaptureFormatError, ManifestError, TimingError
 from .model import (
     RAIL_ORDER,
     CaptureRun,
@@ -36,6 +36,7 @@ from .model import (
     to_wire,
     wire_scalar,
 )
+from .report import _open_output, _output_error, write_text_output
 
 SAMPLE_HEADER = ",".join(["t_s"] + [f"{q}_{rail.wire_name}" for rail in RAIL_ORDER for q in "vi"])
 _COLUMNS = SAMPLE_HEADER.split(",")
@@ -193,36 +194,6 @@ def _schedule_from_json(entries: list) -> RunSchedule:
         parsed.append((from_wire(MachineState, entry["state"], "state", error),
                        from_wire(EventKind, entry["event"], "event", error)))
     return RunSchedule(entries=tuple(parsed))
-
-
-def _open_output(path: Path):
-    """Open *path* as a new ASCII file for writing, creating its directory.
-
-    An existing regular file is unlinked, not truncated: truncating in place
-    can cost a flush of the old blocks (tens of ms a file on ext4). A
-    symlink is kept and written through.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.is_file() and not path.is_symlink():
-        path.unlink()
-    return path.open("w", encoding="ascii")
-
-
-def _output_error(path: Path, exc: OSError) -> PowerTraceError:
-    """The one-line error for an output *path* that cannot be written."""
-    reason = exc.strerror or str(exc)
-    if exc.filename is not None and Path(exc.filename) != path:
-        reason = f"{exc.filename}: {reason}"
-    return PowerTraceError(f"{path}: {reason}")
-
-
-def write_text_output(path: Path, text: str) -> None:
-    """Write *text* to the output file *path*; an OSError becomes a one-line error."""
-    try:
-        with _open_output(path) as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _output_error(path, exc) from None
 
 
 def _format_cells(values: np.ndarray) -> list[str]:

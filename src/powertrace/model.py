@@ -13,8 +13,10 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SAMPLE_PERIOD_S = 0.010
 
@@ -202,6 +204,8 @@ class CaptureRun:
     rails: Mapping[RailKind, RailTrace] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        import numpy as np  # here, so that importing the model does not load numpy
+
         samples = np.asarray(self.samples, dtype=np.float64).view()
         samples.setflags(write=False)
         columns = 2 * len(RAIL_ORDER)

@@ -20,33 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MarkerDetectionError, SegmentationError
-from .model import CaptureRun, EventKind, MachineState, PowerSeries, RailKind
-
-
-@dataclass(frozen=True)
-class MarkerParams:
-    """Tuning for marker detection on the stress rail."""
-
-    marker_rail: RailKind = RailKind.RAIL_12V_CPU
-    smooth_window: float = 0.1
-    hi_fraction: float = 0.6
-    lo_fraction: float = 0.4
-    min_duration: float = 3.0
-    max_duration: float = 8.0
-
-    def __post_init__(self):
-        if not 0 < self.smooth_window < np.inf:
-            raise ValueError(f"smooth_window must be positive and finite, got {self.smooth_window}")
-        if not 0.0 < self.lo_fraction < self.hi_fraction < 1.0:
-            raise ValueError(
-                f"need 0 < lo_fraction < hi_fraction < 1, got "
-                f"lo={self.lo_fraction}, hi={self.hi_fraction}"
-            )
-        if not 0 < self.min_duration < self.max_duration < np.inf:
-            raise ValueError(
-                f"need 0 < min_duration < max_duration < inf, got "
-                f"min={self.min_duration}, max={self.max_duration}"
-            )
+from .model import CaptureRun, EventKind, MachineState, PowerSeries
+from .report import MarkerParams
 
 
 @dataclass(frozen=True)

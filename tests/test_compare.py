@@ -583,3 +583,59 @@ def test_aggregate_rejects_unlabeled_reports():
                                  kind=None)
     with pytest.raises(AggregationError, match="without kind"):
         aggregate([[report]])
+
+
+def _enum_keyed_aggregate(dataset_reports):
+    """aggregate as it was before its tally was keyed by member ids: the reference."""
+    if not dataset_reports:
+        raise AggregationError("need at least one dataset")
+    coverage = None
+    tallies = {}
+    for d, reports in enumerate(dataset_reports):
+        seen = set()
+        for report in reports:
+            if report.kind is None or report.rail is None:
+                raise AggregationError(f"dataset {d}: report without kind/rail labels")
+            key = (report.rail, report.kind)
+            if key in seen:
+                raise AggregationError(
+                    f"dataset {d}: duplicate cell ({report.rail.wire_name}, "
+                    f"{report.kind.wire_name})"
+                )
+            seen.add(key)
+            tallies[key] = tallies.get(key, 0) + (report.verdict is Verdict.INCREMENT)
+        if coverage is None:
+            coverage = seen
+        elif seen != coverage:
+            raise AggregationError(
+                f"dataset {d} covers {len(seen)} cells, expected the same "
+                f"{len(coverage)} cells as dataset 0"
+            )
+    n = len(dataset_reports)
+    return compare.AggregateReport(cells=tuple(
+        compare.AggregateCell(rail=rail, kind=kind, n_datasets=n, n_increment=count)
+        for (rail, kind), count in tallies.items()
+    ))
+
+
+def _fold_outcome(fold, datasets):
+    """What *fold* returns, or the (error class, message) it raises."""
+    try:
+        return fold(datasets)
+    except AggregationError as exc:
+        return type(exc), str(exc)
+
+
+_FOLD_CELLS = [(kind, rail) for kind in list(ComparisonKind)[:2] for rail in RAIL_ORDER[:2]]
+_FOLD_DATASET = st.one_of(
+    st.permutations(_FOLD_CELLS),  # every cell once, in any order
+    st.lists(st.sampled_from(_FOLD_CELLS), max_size=5),  # cells missing or repeated
+).flatmap(lambda cells: st.lists(
+    st.sampled_from(Verdict), min_size=len(cells), max_size=len(cells)
+).map(lambda verdicts: [_fake_report(*cell, v) for cell, v in zip(cells, verdicts)]))
+
+
+@given(st.lists(_FOLD_DATASET, max_size=4))
+def test_aggregate_equals_the_enum_keyed_fold(datasets):
+    # The same cells in the same order, and the same error messages.
+    assert _fold_outcome(aggregate, datasets) == _fold_outcome(_enum_keyed_aggregate, datasets)
