@@ -193,6 +193,14 @@ def _schedule_from_json(entries: list) -> RunSchedule:
         error = _manifest_error(f"schedule entry {i}")
         parsed.append((from_wire(MachineState, entry["state"], "state", error),
                        from_wire(EventKind, entry["event"], "event", error)))
+        # The comparisons key segments by (state, event), so a repeated entry
+        # would silently keep only its last segment.
+        if parsed[-1] in parsed[:-1]:
+            state, event = parsed[-1]
+            raise ManifestError(
+                f"schedule entries {parsed.index(parsed[-1])} and {i} repeat "
+                f"({state.wire_name}, {event.wire_name})"
+            )
     return RunSchedule(entries=tuple(parsed))
 
 

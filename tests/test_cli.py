@@ -408,6 +408,23 @@ def test_manifest_breaking_a_run_invariant_fails_in_one_line(
     )
 
 
+def test_compare_refuses_a_schedule_that_repeats_an_entry(workdir, tmp_path, capsys):
+    # Entry 7 of 9, the post-reboot boot, relabelled as a second post-reboot
+    # idle. The comparisons key segments by (state, event), so compare used
+    # to judge only the later idle segment and drop the other unseen.
+    manifest = json.loads((workdir.captures / f"{STEM}.manifest.json").read_text())
+    schedule = manifest["schedule"]
+    assert schedule[6] == {"state": "post_infection_reboot", "event": "boot"}
+    schedule[6] = dict(schedule[7])
+    sample = _edited_capture(workdir, tmp_path, schedule=schedule)
+    out = tmp_path / "out"
+    assert main(["compare", "--pre", str(sample), "--out", str(out), "--max-lag", "0.05"]) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {sample}: schedule entries 6 and 7 repeat (post_infection_reboot, idle)"
+    )
+    assert not out.exists()
+
+
 def _report_with(compared, tmp_path, key: str, token: str):
     """The CLI comparison file with the first report's *key* set to the JSON *token*."""
     payload = json.loads((compared / f"{STEM}.comparison.json").read_text())

@@ -22,6 +22,7 @@ from powertrace import (
     MachineState,
     RAIL_ORDER,
     RailKind,
+    ScenarioConfig,
     Verdict,
     aggregate,
     align,
@@ -234,6 +235,98 @@ def test_lag_search_matches_every_lag_scan_and_exact_oracle(pair):
         assert got.lag_samples == _lag_oracle(a.tolist(), b.tolist(), max_lag)
 
 
+def _correlate_candidates(a, b, max_shift):
+    """The lag candidates from a direct np.correlate of b zero-padded by
+    max_shift with a, and a margin of 64 * n * eps / LAG_TRUST."""
+    n = len(a)
+    lags = np.arange(-max_shift, max_shift + 1)
+    m = n - np.abs(lags)
+    a0 = a - a.mean()
+    b0 = b - b.mean()
+
+    def overlap_moments(x, start):
+        sums = np.concatenate(([0.0], np.cumsum(x)))
+        squares = np.concatenate(([0.0], np.cumsum(x * x)))
+        total = sums[start + m] - sums[start]
+        return total, squares[start + m] - squares[start] - total * total / m, squares[-1]
+
+    sum_a, var_a, energy_a = overlap_moments(a0, np.maximum(0, -lags))
+    sum_b, var_b, energy_b = overlap_moments(b0, np.maximum(0, lags))
+    pad = np.zeros(max_shift)
+    dots = np.correlate(np.concatenate((pad, b0, pad)), a0, "valid")
+    trusted = (var_a >= compare.LAG_TRUST * energy_a) & (var_b >= compare.LAG_TRUST * energy_b)
+    score = np.full(len(lags), -np.inf)
+    score[trusted] = (dots - sum_a * sum_b / m)[trusted] / np.sqrt(
+        var_a[trusted] * var_b[trusted]
+    )
+    margin = 64 * n * np.finfo(np.float64).eps / compare.LAG_TRUST
+    return lags[~trusted | (score >= score.max() - margin)]
+
+
+def _assert_fft_lag_search_is_exact(a, b, max_lag):
+    """Every lag whose _pearson score is the maximum is an FFT candidate,
+    and estimate_lag chooses as it does from the np.correlate candidates."""
+    a, b = align(a, b)
+    n = len(a)
+    max_shift = int(math.floor(n * max_lag))
+    got = estimate_lag(a, b, max_lag, PERIOD)
+    with mock.patch.object(compare, "_lag_candidates", _correlate_candidates):
+        assert got == estimate_lag(a, b, max_lag, PERIOD)
+    if got.zero_variance:
+        return
+    scores = {
+        lag: _pearson(a[: n - lag], b[lag:]) if lag >= 0 else _pearson(a[-lag:], b[: n + lag])
+        for lag in range(-max_shift, max_shift + 1)
+    }
+    best = max(scores.values())
+    candidates = set(compare._lag_candidates(a, b, max_shift).tolist())
+    assert {lag for lag, r in scores.items() if r == best} <= candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lag_pairs(), st.sampled_from([0.05, 0.25, 0.5]))
+def test_fft_lag_candidates_hold_every_best_lag(pair, max_lag):
+    a, b, _ = pair
+    _assert_fft_lag_search_is_exact(a, b, max_lag)
+
+
+def _idle_pair(seed, rail):
+    """Pre- and post-infection 2-minute idle segments (n = 12,000) of one
+    generated run whose infection adds 1 W, a 1.5 s lag and spikes."""
+    infection = InfectionEffect(delta_power=idle_delta(1.0, rail), lag_s=1.5, spike_rate_per_min=6.0)
+    run, truth = generate_run(ScenarioConfig(seed=seed, idle_duration=120.0, infection=infection))
+    trace = run.rails[rail]
+    power = trace.voltage * trace.current
+    return tuple(
+        power[slice(*truth.events[(state, EventKind.IDLE)])]
+        for state in (MachineState.PRE_INFECTION, MachineState.POST_INFECTION)
+    )
+
+
+def _offset_pair():
+    rng = np.random.default_rng(31)
+    a = 1e6 + rng.normal(0.0, 1.0, 4_000)
+    return a, _shift_right(a, 37) + rng.normal(0.0, 0.5, 4_000)
+
+
+_PERIODIC = np.resize(np.array([2.0, -1.0, 0.0, 3.0, 3.0, -2.0]), 5_000)
+
+
+@pytest.mark.parametrize(
+    "pair, max_lag",
+    [
+        (lambda: _idle_pair(3, RailKind.RAIL_12V_CPU), 0.1),
+        (lambda: _idle_pair(4, RailKind.RAIL_3V3), 0.5),
+        (_offset_pair, 0.5),
+        (lambda: (_PERIODIC, np.roll(_PERIODIC, 2)), 0.5),
+        (lambda: (_PERIODIC, 1.0 - _PERIODIC), 0.25),
+    ],
+    ids=["idle-12v_cpu", "idle-3v3", "offset-1e6", "periodic", "periodic-inverted"],
+)
+def test_fft_lag_search_is_exact_on_long_series(pair, max_lag):
+    _assert_fft_lag_search_is_exact(*pair(), max_lag)
+
+
 def _rolling_oracle(x, window):
     """Per-index np.median of the window around each sample, shrinking at the edges."""
     n = len(x)
@@ -343,6 +436,69 @@ def test_rolling_median_mad_matches_oracle_at_the_default_window():
     want_med, want_mad = _rolling_oracle(x, 100)
     assert np.array_equal(med, want_med)
     assert np.array_equal(mad, want_mad)
+
+
+def _spikes_by_full_sort(x, spike_k, w):
+    """detect_spikes' count from the exact median and MAD of every window."""
+    med, mad = _rolling_median_mad(x, w)
+    high = x > med + spike_k * np.maximum(mad, compare.MAD_FLOOR_W)
+    return int(np.count_nonzero(high & ~np.concatenate(([False], high[:-1]))))
+
+
+@st.composite
+def _ramps_and_window(draw):
+    """Ramps with steps and single-sample spikes up and down."""
+    window = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 150))
+    x = draw(st.sampled_from([0.0, 0.01, -0.5, 3.0])) * np.arange(n)
+    heights = st.sampled_from([-50.0, -1.0, 0.3, 2.0, 50.0])
+    for at, height in draw(st.lists(st.tuples(st.integers(0, n - 1), heights), max_size=3)):
+        x[at:] += height
+    for at, height in draw(st.lists(st.tuples(st.integers(0, n - 1), heights), max_size=6)):
+        x[at] += height
+    return x, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_series_and_window(), _ramps_and_window()),
+    st.sampled_from(["as drawn", "near +1e12", "near -1e12", "at the MAD floor"]),
+    st.sampled_from([0.01, 0.5, 6.0, 50.0]),
+    st.integers(1, 7),
+    st.integers(1, 400),
+)
+@example((np.full(30, 3.0), 4), "as drawn", 6.0, 3, 10)
+@example((np.arange(45.0) % 3, 10), "at the MAD floor", 0.01, 4, 17)
+def test_prefiltered_spike_count_equals_the_full_sort(case, offset, spike_k, block, chunk):
+    # Blocks of 1-7 rows and chunks of 1-400 values put block and chunk
+    # boundaries inside and beside the shrinking edge windows.
+    x, window = case
+    if offset == "near +1e12":
+        x = x + 1e12
+    elif offset == "near -1e12":
+        x = x - 1e12
+    elif offset == "at the MAD floor":
+        x = 5.0 + x / max(1.0, float(np.abs(x).max())) * 4e-9
+    with mock.patch.object(compare, "_BLOCK", block), mock.patch.object(
+        compare, "_SORT_CHUNK_VALUES", chunk
+    ):
+        got = detect_spikes(x, spike_k, float(window), 1.0)
+    assert got == _spikes_by_full_sort(x, spike_k, min(window, len(x)))
+
+
+def test_prefiltered_spike_count_equals_the_full_sort_on_idle_segments():
+    # Generated idle segments with spikes at the default window, k and block.
+    counts = []
+    for seed in range(4):
+        infection = InfectionEffect(spike_rate_per_min=12.0)
+        run, truth = generate_run(compact_scenario(seed, infection=infection))
+        start, end = truth.events[(MachineState.POST_INFECTION, EventKind.IDLE)]
+        for rail in RAIL_ORDER:
+            trace = run.rails[rail]
+            x = trace.voltage[start:end] * trace.current[start:end]
+            counts.append(detect_spikes(x))
+            assert counts[-1] == _spikes_by_full_sort(x, 6.0, 100)
+    assert sum(counts) > 0
 
 
 def test_spikes_zero_on_constant_series():
