@@ -291,9 +291,11 @@ def test_fft_lag_candidates_hold_every_best_lag(pair, max_lag):
 
 
 def _idle_pair(seed, rail):
-    """Pre- and post-infection 2-minute idle segments (n = 12,000) of one
-    generated run whose infection adds 1 W, a 1.5 s lag and spikes."""
-    infection = InfectionEffect(delta_power=idle_delta(1.0, rail), lag_s=1.5, spike_rate_per_min=6.0)
+    """Pre- and post-infection 2-minute idle segments (about 12,000 samples)
+    of one generated run whose infection adds 1 W, a 1.5 s lag and spikes."""
+    infection = InfectionEffect(
+        delta_power=idle_delta(1.0, rail), lag_s=1.5, spike_rate_per_min=6.0
+    )
     run, truth = generate_run(ScenarioConfig(seed=seed, idle_duration=120.0, infection=infection))
     trace = run.rails[rail]
     power = trace.voltage * trace.current
