@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import PowerTraceError
+from .errors import AggregationError, ComparisonError, PowerTraceError
 from .model import RAIL_ORDER, MachineState, RailKind, from_wire, to_wire, wire_scalar
 from .report import (CompareParams, ComparisonKind, ComparisonReport, MarkerParams, Verdict,
                      aggregate, write_text_output)
@@ -502,9 +502,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             reboot = _analyze(reboot_paths[i], marker_params)
             _check_same_period(pre_path, pre, reboot_paths[i], reboot)
             post_pool = _merge_reboot_pool(post_pool, reboot.pool())
-        reports = run_canonical_comparisons(
-            pre.pool(), post_pool, compare_params, pre.sample_period
-        )
+        try:
+            reports = run_canonical_comparisons(
+                pre.pool(), post_pool, compare_params, pre.sample_period
+            )
+        except ComparisonError as exc:
+            captures = (("--pre", pre_path), ("--post", args.post and post_paths[i]),
+                        ("--post-reboot", reboot_paths and reboot_paths[i]))
+            named = ", ".join(f"{flag} {path}" for flag, path in captures if path)
+            raise ComparisonError(f"{named}: {exc}") from None
         dataset_reports.append(reports)
 
         payload = {
@@ -535,10 +541,10 @@ def _first_difference(first: object, other: object) -> str:
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     out_dir = _output_dir(args.out)
+    paths = [Path(report_file) for report_file in args.reports]
     dataset_reports: list[list[ComparisonReport]] = []
-    first_path = first_params = None
-    for report_file in args.reports:
-        path = Path(report_file)
+    first_params = None
+    for d, path in enumerate(paths):
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad bytes or JSON
@@ -547,16 +553,24 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             return _fail(f"{path}: missing 'reports' list")
         if not obj["reports"]:
             return _fail(f"{path}: empty 'reports' list")
-        if first_path is None:
-            first_path, first_params = path, obj.get("params")
+        if d == 0:
+            first_params = obj.get("params")
         elif obj.get("params") != first_params:
             key = _first_difference(first_params, obj.get("params"))
-            return _fail(f"{path}: params differ from those of {first_path}, first at '{key}'")
+            return _fail(f"{path}: params differ from those of {paths[0]}, first at '{key}'")
         dataset_reports.append(
             [_report_from_json(entry, str(path)) for entry in obj["reports"]]
         )
+    try:
+        payload = _aggregate_payload(dataset_reports)
+    except AggregationError as exc:
+        if exc.dataset is None:
+            raise
+        # The fold numbers datasets from 0; name the files given instead.
+        detail = str(exc).removeprefix(f"dataset {exc.dataset}")
+        return _fail(f"{paths[exc.dataset]}{detail.replace(' as dataset 0', f' as {paths[0]}')}")
     agg_path = out_dir / "aggregate.json"
-    _write_json(agg_path, _aggregate_payload(dataset_reports), stamp=args.stamp)
+    _write_json(agg_path, payload, stamp=args.stamp)
     _note(f"wrote {agg_path}")
     return 0
 

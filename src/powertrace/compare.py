@@ -12,6 +12,7 @@ are re-exported here.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -154,6 +155,24 @@ _SORT_CHUNK_VALUES = 1 << 18
 _BLOCK = 32
 
 
+def _sorted_rows(matrix: np.ndarray, rows: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (slice of *rows*, a sorted copy of those rows of *matrix*) for
+    consecutive chunks of *rows* of about _SORT_CHUNK_VALUES values each."""
+    step = max(1, _SORT_CHUNK_VALUES // matrix.shape[1])
+    for first in range(0, len(rows), step):
+        chunk = matrix[rows[first : first + step]]
+        chunk.sort(axis=1)
+        yield slice(first, first + step), chunk
+
+
+def _sorted_median(chunk: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Median of the first length[r] values of each sorted row r of *chunk*."""
+    med = chunk[np.arange(len(chunk)), (length - 1) // 2]
+    even = np.flatnonzero(length % 2 == 0)
+    med[even] = (med[even] + chunk[even, length[even] // 2]) / 2
+    return med
+
+
 def _rolling_median_mad(
     x: np.ndarray, window: int, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -163,91 +182,44 @@ def _rolling_median_mad(
     sample and w // 2 after it, and shrinks at the series' edges. Each window
     is a row of the (n, w) window matrix of the series padded with +inf, so
     a window of L values sorts them first. Only the given *rows* (every row
-    when None) are copied out and sorted in place, in chunks of about
-    _SORT_CHUNK_VALUES values, and _sorted_median_mad reads each chunk's
-    statistics; the results follow the order of *rows*.
+    when None) are sorted, chunk by chunk; each chunk is then turned in place
+    into its absolute deviations from the medians, where the padding stays
+    +inf, and sorted again for the MAD. The results follow the order of *rows*.
     """
     n = len(x)
     w = min(window, n)
     before, after = (w - 1) // 2, w // 2
     padded = np.concatenate((np.full(before, np.inf), x, np.full(after, np.inf)))
-    windows = sliding_window_view(padded, w)
     at = np.arange(n) if rows is None else rows
     med, mad = np.empty(len(at)), np.empty(len(at))
-    step = max(1, _SORT_CHUNK_VALUES // w)
-    for first in range(0, len(at), step):
-        part = at[first : first + step]
-        length = np.minimum(n, part + after + 1) - np.maximum(0, part - before)
-        chunk = windows[part]
+    for part, chunk in _sorted_rows(sliding_window_view(padded, w), at):
+        length = np.minimum(n, at[part] + after + 1) - np.maximum(0, at[part] - before)
+        med[part] = _sorted_median(chunk, length)
+        np.abs(np.subtract(chunk, med[part, None], out=chunk), out=chunk)
         chunk.sort(axis=1)
-        med[first : first + step], mad[first : first + step] = _sorted_median_mad(
-            chunk.reshape(-1), length, w
-        )
-    return med, mad
-
-
-def _sorted_median_mad(
-    flat: np.ndarray, length: np.ndarray, w: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Median and MAD of each sorted row of w values, flattened into *flat*,
-    whose first length[r] values of row r are its window.
-
-    A row S's median m is S[lo] or (S[lo] + S[hi]) / 2, with lo, hi =
-    (L - 1) // 2, L // 2. The k nearest values form a run of S, so the k-th
-    smallest |S - m| is min over j in [0, L - k] of max(m - S[j],
-    S[j + k - 1] - m). Rounded differences are monotone, so the first term
-    never rises with j and the second never falls: the minimum is at their
-    crossing or just before it. One binary search finds the crossings of
-    rank lo + 1 and, for an even L, hi + 1.
-    """
-    n = len(length)
-    at = np.arange(n)
-    lo, hi = (length - 1) // 2, length // 2
-    even = np.flatnonzero(lo != hi)
-    med = flat[at * w + lo]
-    med[even] = (med[even] + flat[even * w + hi[even]]) / 2
-
-    # In flat, j runs from a row's start to last = start + L - k; span = k - 1.
-    # A probe past last reads last: j passes last only when no crossing is in
-    # range, and both candidates then clamp to last, where the minimum is.
-    row = np.concatenate((at, even))
-    span, m = np.concatenate((lo, hi[even])), med[row]
-    start = j = row * w
-    last = start + length[row] - span - 1
-    step = 1 << int((last - start).max() + 1).bit_length() - 1
-    while step:
-        probe = np.minimum(j + step - 1, last)
-        j = j + step * (flat[probe + span] - m < m - flat[probe])
-        step >>= 1
-    i = np.stack((np.clip(j - 1, start, last), np.minimum(j, last)))
-    d = np.maximum(m - flat[i], flat[i + span] - m).min(axis=0)
-    mad = d[:n]
-    mad[even] = (mad[even] + d[n:]) / 2
+        mad[part] = _sorted_median(chunk, length)
     return med, mad
 
 
 def _threshold_bounds(x: np.ndarray, w: int, spike_k: float) -> np.ndarray:
-    """detect_spikes' lower bound on the threshold of each row whose window
-    holds all w samples, from one sorted superset per _BLOCK rows. The last
-    block's superset ends with the series, so it also holds every window of
-    a block cut short there."""
+    """detect_spikes' lower bound on each sample's threshold: -inf on the
+    shrinking edge rows, and on each block of _BLOCK rows with full windows
+    of w samples the bound from their sorted superset. The last block's
+    superset ends with the series, so it also holds every window of a block
+    cut short there."""
     n = len(x)
     lo = (w - 1) // 2
     full = n - w + 1
     width = min(w + _BLOCK - 1, n)
     blocks = np.minimum(np.arange(0, full, _BLOCK), max(full - _BLOCK, 0))
-    supersets = sliding_window_view(x, width)
-    bound = np.empty(len(blocks))
-    step = max(1, _SORT_CHUNK_VALUES // width)
-    for first in range(0, len(blocks), step):
-        u = supersets[blocks[first : first + step]]
-        u.sort(axis=1)
+    block_bound = np.empty(len(blocks))
+    for part, u in _sorted_rows(sliding_window_view(x, width), blocks):
         low = u[:, lo]
         scale = spike_k * np.maximum((u[:, lo:] - u[:, : width - lo]).min(axis=1) / 2, MAD_FLOOR_W)
-        bound[first : first + step] = low + scale - 16 * np.finfo(np.float64).eps * (
-            np.abs(low) + scale
-        )
-    return np.repeat(bound, _BLOCK)[:full]
+        block_bound[part] = low + scale - 16 * np.finfo(np.float64).eps * (np.abs(low) + scale)
+    bound = np.full(n, -np.inf)
+    bound[lo : lo + full] = np.repeat(block_bound, _BLOCK)[:full]
+    return bound
 
 
 def detect_spikes(
@@ -269,20 +241,17 @@ def detect_spikes(
     operation errs by at most eps / 2 of its result, so the computed
     threshold is at least the computed bound less 8 * eps * (|U_s[lo]| +
     k * max(G / 2, MAD_FLOOR_W)); the allowance taken is twice that. A row
-    whose sample lies at or below the bound cannot be high. The rest, and
-    the shrinking edge windows, get their exact median and MAD from
-    _rolling_median_mad, so the count is the one that sorting every window
-    gives.
+    whose sample lies at or below the bound cannot be high. The rest, among
+    them every shrinking edge row, whose bound is -inf, get their exact
+    median and MAD from _rolling_median_mad, so the count is the one that
+    sorting every window gives.
     """
     x = np.asarray(power, dtype=np.float64)
     n = len(x)
     if n == 0:
         return 0
     w = max(1, int(round(min(spike_window / sample_period, n))))
-    lo = (w - 1) // 2
-    full = n - w + 1  # rows lo .. lo + full - 1 have full windows
-    above = np.flatnonzero(x[lo : lo + full] > _threshold_bounds(x, w, spike_k))
-    rows = np.concatenate((np.arange(lo), above + lo, np.arange(lo + full, n)))
+    rows = np.flatnonzero(x > _threshold_bounds(x, w, spike_k))
     med, mad = _rolling_median_mad(x, w, rows)
     exceed = np.zeros(n, dtype=bool)
     exceed[rows] = x[rows] > med + spike_k * np.maximum(mad, MAD_FLOOR_W)

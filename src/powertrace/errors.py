@@ -52,7 +52,12 @@ class ComparisonError(PowerTraceError):
 
 
 class AggregationError(PowerTraceError):
-    """Datasets disagree on rail/comparison coverage."""
+    """Datasets disagree on rail/comparison coverage; *dataset* is the
+    0-based index of the one at fault, when there is one."""
+
+    def __init__(self, message: str, dataset: int | None = None):
+        super().__init__(message)
+        self.dataset = dataset
 
 
 class ScenarioConfigError(PowerTraceError):

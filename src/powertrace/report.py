@@ -193,11 +193,11 @@ def aggregate(dataset_reports: list[list[ComparisonReport]]) -> AggregateReport:
         for report in reports:
             rail, kind = report.rail, report.kind
             if kind is None or rail is None:
-                raise AggregationError(f"dataset {d}: report without kind/rail labels")
+                raise AggregationError(f"dataset {d}: report without kind/rail labels", d)
             key = (id(rail), id(kind))
             if key in seen:
                 raise AggregationError(
-                    f"dataset {d}: duplicate cell ({rail.wire_name}, {kind.wire_name})"
+                    f"dataset {d}: duplicate cell ({rail.wire_name}, {kind.wire_name})", d
                 )
             seen.add(key)
             tallies[key] = tallies.get(key, 0) + (report.verdict is Verdict.INCREMENT)
@@ -208,7 +208,7 @@ def aggregate(dataset_reports: list[list[ComparisonReport]]) -> AggregateReport:
         elif seen != coverage:
             raise AggregationError(
                 f"dataset {d} covers {len(seen)} cells, expected the same "
-                f"{len(coverage)} cells as dataset 0"
+                f"{len(coverage)} cells as dataset 0", d
             )
     n = len(dataset_reports)
     cells = tuple(

@@ -425,6 +425,29 @@ def test_compare_refuses_a_schedule_that_repeats_an_entry(workdir, tmp_path, cap
     assert not out.exists()
 
 
+def test_a_comparison_error_names_the_dataset_captures(workdir, second_capture, tmp_path, capsys):
+    # Dataset 2's post capture cut after its eighth entry: the post-reboot
+    # browser entry, its markers and its samples are gone.
+    cut = tmp_path / "cut.csv"
+    manifest = json.loads(manifest_path_for(second_capture).read_text())
+    manifest["schedule"] = manifest["schedule"][:8]
+    manifest["expected_marker_count"] = 16
+    manifest_path_for(cut).write_text(json.dumps(manifest))
+    markers = json.loads(second_capture.with_suffix(".truth.json").read_text())["markers"]
+    rows = (markers[15][1] + markers[16][0]) // 2
+    cut.write_text("".join(second_capture.read_text().splitlines(True)[: rows + 1]))
+    out = tmp_path / "out"
+    argv = ["compare", "--pre", str(workdir.sample), "--pre", str(second_capture),
+            "--post", str(workdir.sample), "--post", str(cut),
+            "--out", str(out), "--max-lag", "0.05"]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: --pre {second_capture}, --post {cut}: missing suspect segment "
+        "(post_infection_reboot, open_browser) on rail 3v3"
+    )
+    assert not out.exists()
+
+
 def _report_with(compared, tmp_path, key: str, token: str):
     """The CLI comparison file with the first report's *key* set to the JSON *token*."""
     payload = json.loads((compared / f"{STEM}.comparison.json").read_text())
@@ -495,6 +518,24 @@ def test_aggregate_rejects_a_fold_with_different_params(compared, tmp_path, caps
     assert _one_error_line(capsys) == (
         f"powertrace: {other}: params differ from those of {report}, first at 'spike_k'"
     )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(list.pop, "{edited} covers 19 cells, expected the same 20 cells as {report}"),
+     (lambda reports: reports.append(reports[0]),
+      "{edited}: duplicate cell (3v3, boot_pre_vs_reboot_post)")],
+    ids=["truncated", "duplicated"],
+)
+def test_aggregate_names_the_file_at_fault(compared, tmp_path, capsys, edit, message):
+    report = compared / f"{STEM}.comparison.json"
+    payload = json.loads(report.read_text())
+    edit(payload["reports"])
+    edited = tmp_path / "edited.comparison.json"
+    edited.write_text(json.dumps(payload), encoding="ascii")
+    assert main(["aggregate", str(report), str(edited), "--out", str(tmp_path)]) == 1
+    assert _one_error_line(capsys) == "powertrace: " + message.format(edited=edited, report=report)
+    assert not (tmp_path / "aggregate.json").exists()
 
 
 _OVERFLOWING_FLAGS = [

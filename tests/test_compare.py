@@ -400,6 +400,32 @@ def test_rolling_median_mad_is_exact_across_sort_chunks(case, rows, extra):
     assert np.array_equal(mad, want_mad)
 
 
+@st.composite
+def _series_window_and_rows(draw):
+    """_series_and_window's cases with a subset of rows in any order that
+    holds an edge row, one with a shrinking window, whenever there is one."""
+    x, window = draw(_series_and_window())
+    n, w = len(x), min(window, len(x))
+    rows = draw(st.lists(st.integers(0, n - 1), unique=True))
+    edges = [i for i in range(n) if i < (w - 1) // 2 or i >= n - w // 2]
+    if edges and not set(edges) & set(rows):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(edges)))
+    return x, window, np.array(rows, dtype=np.intp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series_window_and_rows(), st.integers(1, 400))
+@example((np.arange(20.0), 8, np.array([19, 0, 10, 3])), 9)
+def test_rolling_median_mad_at_given_rows_matches_the_oracle(case, chunk):
+    # detect_spikes' path, with chunk boundaries anywhere among the rows.
+    x, window, rows = case
+    with mock.patch.object(compare, "_SORT_CHUNK_VALUES", chunk):
+        med, mad = _rolling_median_mad(x, window, rows)
+    want_med, want_mad = _rolling_oracle(x, window)
+    assert np.array_equal(med, want_med[rows])
+    assert np.array_equal(mad, want_mad[rows])
+
+
 def test_rolling_median_mad_is_exact_just_past_one_default_chunk():
     x = np.random.default_rng(27).normal(20.0, 0.1, 2_700)
     x[::89] += 3.0
@@ -733,6 +759,17 @@ def test_aggregate_rejects_coverage_mismatch():
     partial = full[:-1]
     with pytest.raises(AggregationError, match="covers"):
         aggregate([full, partial])
+
+
+def test_aggregate_errors_carry_the_dataset_index():
+    full = _dataset({})
+    with pytest.raises(AggregationError, match="covers") as short:
+        aggregate([full, full, full[:-1]])
+    with pytest.raises(AggregationError, match="duplicate") as twice:
+        aggregate([full, full + full[:1]])
+    with pytest.raises(AggregationError) as empty:
+        aggregate([])
+    assert (short.value.dataset, twice.value.dataset, empty.value.dataset) == (2, 1, None)
 
 
 def test_aggregate_rejects_unlabeled_reports():
