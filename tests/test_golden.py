@@ -43,6 +43,7 @@ SCENARIO = {
 
 STEMS = ("golden-d1-s31", "golden-d2-s31")
 CSV_DIGESTS = GOLDEN_DIR / "csv.sha256"
+CROSS_DIR = GOLDEN_DIR / "cross-capture"
 
 
 def round_trip_commands(root: Path) -> list[list[str]]:
@@ -97,6 +98,36 @@ def test_round_trip_matches_golden_files(tmp_path):
     assert len(digests.splitlines()) == 10
 
 
+def run_cross_capture(root: Path) -> dict[str, object]:
+    """Synthesize the round trip's captures under *root* and compare the
+    clean d2 (pre and post-reboot) with the infected d1 (post).
+
+    Returns output file name -> parsed JSON.
+    """
+    assert main(round_trip_commands(root)[0]) == 0
+    d1, d2 = (str(root / "captures" / f"{stem}.csv") for stem in STEMS)
+    out = root / "cross-capture"
+    argv = ["compare", "--pre", d2, "--post", d1, "--post-reboot", d2,
+            "--out", str(out), "--max-lag", "0.05"]
+    assert main(argv) == 0
+    return {path.name: json.loads(path.read_text()) for path in sorted(out.glob("*.json"))}
+
+
+def test_cross_capture_comparison_matches_golden_files(tmp_path):
+    outputs = run_cross_capture(tmp_path)
+    assert sorted(p.name for p in CROSS_DIR.glob("*.json")) == sorted(outputs)
+    for name, produced in outputs.items():
+        expected = json.loads((CROSS_DIR / name).read_text())
+        assert produced == expected, f"{name} differs from tests/golden/cross-capture/{name}"
+    # d1's injected increments, and no post-reboot increment: d2 is clean.
+    verdicts = {(r["kind"], r["rail"]): r["verdict"]
+                for r in outputs[f"{STEMS[0]}.comparison.json"]["reports"]}
+    assert verdicts["idle_pre_vs_idle_post", "12v_mb"] == "increment"
+    assert verdicts["ie_pre_vs_ie_post", "12v_cpu"] == "increment"
+    assert {verdict for (kind, _), verdict in verdicts.items()
+            if kind.endswith("_post_reboot")} == {"no_increment"}
+
+
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_plot_bytes_do_not_depend_on_the_worker_count(tmp_path, cpus):
     # One usable CPU writes in-process; four fork one plot writer per rail.
@@ -108,12 +139,15 @@ def test_plot_bytes_do_not_depend_on_the_worker_count(tmp_path, cpus):
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as cross_tmp:
         outputs, digests = run_round_trip(Path(tmp))
-    GOLDEN_DIR.mkdir(exist_ok=True)
+        cross = run_cross_capture(Path(cross_tmp))
+    CROSS_DIR.mkdir(parents=True, exist_ok=True)
     CSV_DIGESTS.write_text(digests, encoding="ascii")
-    for name, payload in outputs.items():
-        (GOLDEN_DIR / name).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
-        )
-    print(f"wrote {len(outputs) + 1} files to {GOLDEN_DIR}", file=sys.stderr)
+    for directory, files in ((GOLDEN_DIR, outputs), (CROSS_DIR, cross)):
+        for name, payload in files.items():
+            (directory / name).write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
+            )
+    print(f"wrote {len(outputs) + 1} files to {GOLDEN_DIR} and {len(cross)} to {CROSS_DIR}",
+          file=sys.stderr)
