@@ -457,58 +457,48 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return status
 
 
-def _merge_reboot_pool(post_pool: SegmentPool, reboot_pool: SegmentPool) -> SegmentPool:
-    merged = dict(post_pool)
-    for key, series in reboot_pool.items():
-        if key[0] is MachineState.POST_INFECTION_REBOOT:
-            merged[key] = series
-    return merged
-
-
-def _check_same_period(pre_path: Path, pre: AnalyzedRun, path: Path, other: AnalyzedRun) -> None:
-    """Windows and lags are counted in samples, so both captures need one period."""
-    if other.sample_period != pre.sample_period:
-        raise PowerTraceError(
-            f"{path}: sample period {other.sample_period} s differs from "
-            f"{pre.sample_period} s of --pre capture {pre_path}"
-        )
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     _load_stages()
     marker_params = _params(MarkerParams, args)
     compare_params = _params(CompareParams, args)
     pre_paths = [Path(p) for p in args.pre]
     post_paths = [Path(p) for p in args.post] if args.post else pre_paths
-    reboot_paths = [Path(p) for p in args.post_reboot] if args.post_reboot else None
-    for flag, paths in (("--post", post_paths), ("--post-reboot", reboot_paths or pre_paths)):
+    reboot_paths = [Path(p) for p in args.post_reboot] if args.post_reboot else post_paths
+    for flag, paths in (("--post", post_paths), ("--post-reboot", reboot_paths)):
         if len(paths) != len(pre_paths):
             return _fail(f"got {len(pre_paths)} --pre captures but {len(paths)} {flag} captures")
     out = _output_dir(args.out) if args.out else None
     report_paths = [(out or post.parent) / f"{post.stem}.comparison.json" for post in post_paths]
     agg_path = (out or pre_paths[0].parent) / "aggregate.json"
-    datasets = zip(pre_paths, post_paths, *([reboot_paths] if reboot_paths else []))
-    every_capture = (*pre_paths, *post_paths, *(reboot_paths or ()))
+    datasets = list(zip(pre_paths, post_paths, reboot_paths))
+    every_capture = (*pre_paths, *post_paths, *reboot_paths)
     _refuse_shared_outputs([*zip(datasets, report_paths), (every_capture, agg_path)])
 
     dataset_reports: list[list[ComparisonReport]] = []
     report_payloads: list[tuple[Path, dict]] = []
-    for i, pre_path in enumerate(pre_paths):
+    for (pre_path, post_path, reboot_path), report_path in zip(datasets, report_paths):
         pre = _analyze(pre_path, marker_params)
-        post = pre if post_paths[i] == pre_path else _analyze(post_paths[i], marker_params)
-        _check_same_period(pre_path, pre, post_paths[i], post)
+        post = pre if post_path == pre_path else _analyze(post_path, marker_params)
+        reboot = post if reboot_path == post_path else _analyze(reboot_path, marker_params)
+        for path, run in ((post_path, post), (reboot_path, reboot)):
+            # Windows and lags are counted in samples, so the captures need one period.
+            if run.sample_period != pre.sample_period:
+                raise PowerTraceError(f"{path}: sample period {run.sample_period} s differs "
+                                      f"from {pre.sample_period} s of --pre capture {pre_path}")
         post_pool = post.pool()
-        if reboot_paths is not None:
-            reboot = _analyze(reboot_paths[i], marker_params)
-            _check_same_period(pre_path, pre, reboot_paths[i], reboot)
-            post_pool = _merge_reboot_pool(post_pool, reboot.pool())
+        reboot_pool = post_pool if reboot is post else reboot.pool()
+        # Each post state's segments come only from the capture given for it.
+        sources = {MachineState.POST_INFECTION: post_pool,
+                   MachineState.POST_INFECTION_REBOOT: reboot_pool}
+        suspect_pool = {key: series for state, pool in sources.items()
+                        for key, series in pool.items() if key[0] is state}
         try:
             reports = run_canonical_comparisons(
-                pre.pool(), post_pool, compare_params, pre.sample_period
+                pre.pool(), suspect_pool, compare_params, pre.sample_period
             )
         except ComparisonError as exc:
-            captures = (("--pre", pre_path), ("--post", args.post and post_paths[i]),
-                        ("--post-reboot", reboot_paths and reboot_paths[i]))
+            captures = (("--pre", pre_path), ("--post", args.post and post_path),
+                        ("--post-reboot", args.post_reboot and reboot_path))
             named = ", ".join(f"{flag} {path}" for flag, path in captures if path)
             raise ComparisonError(f"{named}: {exc}") from None
         dataset_reports.append(reports)
@@ -520,7 +510,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "params": to_wire(compare_params),
             "reports": to_wire(reports),
         }
-        report_payloads.append((report_paths[i], payload))
+        report_payloads.append((report_path, payload))
 
     for report_path, payload in report_payloads:
         _write_json(report_path, payload, stamp=args.stamp)
@@ -607,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--post", action="append", default=None, metavar="CSV",
                            help="suspect capture (default: the --pre capture itself)")
     p_compare.add_argument("--post-reboot", action="append", default=None, metavar="CSV",
-                           help="capture providing post-reboot segments")
+                           help="capture providing the post-reboot segments "
+                                "(default: the --post capture)")
     p_compare.add_argument("--out", default=None,
                            help="output directory (default: next to the captures)")
     _add_flags(p_compare, MarkerParams)

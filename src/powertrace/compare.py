@@ -349,26 +349,16 @@ def run_canonical_comparisons(
         params = CompareParams()
     reports: list[ComparisonReport] = []
     for kind in ComparisonKind:
-        (base_state, base_event), (susp_state, susp_event) = COMPARISON_PAIRING[kind]
         for rail in RAIL_ORDER:
-            base_key = (base_state, base_event, rail)
-            susp_key = (susp_state, susp_event, rail)
-            if base_key not in pre_pool:
-                raise ComparisonError(
-                    f"missing baseline segment ({base_state.wire_name}, {base_event.wire_name}) "
-                    f"on rail {rail.wire_name}"
-                )
-            if susp_key not in post_pool:
-                raise ComparisonError(
-                    f"missing suspect segment ({susp_state.wire_name}, {susp_event.wire_name}) "
-                    f"on rail {rail.wire_name}"
-                )
-            report = classify_increment(
-                pre_pool[base_key], post_pool[susp_key], params, sample_period
-            )
-            reports.append(
-                dataclasses.replace(
-                    report, kind=kind, rail=rail, noisy=kind in NOISY_KINDS
-                )
-            )
+            series = []
+            for side, pool, (state, event) in zip(
+                ("baseline", "suspect"), (pre_pool, post_pool), COMPARISON_PAIRING[kind]
+            ):
+                if (state, event, rail) not in pool:
+                    raise ComparisonError(f"missing {side} segment ({state.wire_name}, "
+                                          f"{event.wire_name}) on rail {rail.wire_name}")
+                series.append(pool[state, event, rail])
+            report = classify_increment(*series, params, sample_period)
+            reports.append(dataclasses.replace(report, kind=kind, rail=rail,
+                                               noisy=kind in NOISY_KINDS))
     return reports

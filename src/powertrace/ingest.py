@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -57,6 +58,13 @@ def _per_rail(value: float):
     return lambda: dict.fromkeys(RAIL_ORDER, value)
 
 
+def _check_scale(name: str, value: float) -> None:
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if not value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CalibrationConfig:
     """Scales converting raw ADC volts into engineering units, per rail.
@@ -74,19 +82,17 @@ class CalibrationConfig:
     def __post_init__(self):
         if not 8 <= self.adc_bits <= 24:
             raise ValueError(f"adc_bits must be in [8, 24], got {self.adc_bits}")
-        if not self.adc_full_scale > 0:
-            raise ValueError(f"adc_full_scale must be positive, got {self.adc_full_scale}")
+        _check_scale("adc_full_scale", self.adc_full_scale)
         for name, scales in (("voltage_scale", self.voltage_scale), ("current_scale", self.current_scale)):
             for rail in RAIL_ORDER:
                 if rail not in scales:
                     raise ValueError(f"{name} missing rail {rail.wire_name}")
-                if not scales[rail] > 0:
-                    raise ValueError(f"{name}[{rail.wire_name}] must be positive, got {scales[rail]}")
+                _check_scale(f"{name}[{rail.wire_name}]", scales[rail])
 
     @property
     def lsb(self) -> float:
-        """ADC step in raw volts: 2 * full_scale / 2^bits."""
-        return 2.0 * self.adc_full_scale / (1 << self.adc_bits)
+        """ADC step in raw volts: 2 * full_scale / 2^bits, without overflowing 2 * full_scale."""
+        return self.adc_full_scale / (1 << (self.adc_bits - 1))
 
     @property
     def column_scales(self) -> np.ndarray:

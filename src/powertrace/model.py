@@ -216,6 +216,8 @@ class CaptureRun:
             )
         if not self.sample_period > 0:
             violations.append(f"non-positive sample_period {self.sample_period}")
+        elif not self.sample_period < math.inf:
+            violations.append(f"non-finite sample_period {self.sample_period}")
         if self.dataset_index < 1:
             violations.append(f"dataset_index must be >= 1, got {self.dataset_index}")
         entries = self.schedule.entries

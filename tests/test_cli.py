@@ -425,17 +425,23 @@ def test_compare_refuses_a_schedule_that_repeats_an_entry(workdir, tmp_path, cap
     assert not out.exists()
 
 
-def test_a_comparison_error_names_the_dataset_captures(workdir, second_capture, tmp_path, capsys):
-    # Dataset 2's post capture cut after its eighth entry: the post-reboot
-    # browser entry, its markers and its samples are gone.
+def _cut_capture(capture: Path, tmp_path: Path) -> Path:
+    """*capture* cut after its eighth entry: the post-reboot browser entry,
+    its markers and its samples are gone."""
     cut = tmp_path / "cut.csv"
-    manifest = json.loads(manifest_path_for(second_capture).read_text())
+    manifest = json.loads(manifest_path_for(capture).read_text())
     manifest["schedule"] = manifest["schedule"][:8]
     manifest["expected_marker_count"] = 16
     manifest_path_for(cut).write_text(json.dumps(manifest))
-    markers = json.loads(second_capture.with_suffix(".truth.json").read_text())["markers"]
+    markers = json.loads(capture.with_suffix(".truth.json").read_text())["markers"]
     rows = (markers[15][1] + markers[16][0]) // 2
-    cut.write_text("".join(second_capture.read_text().splitlines(True)[: rows + 1]))
+    cut.write_text("".join(capture.read_text().splitlines(True)[: rows + 1]))
+    return cut
+
+
+def test_a_comparison_error_names_the_dataset_captures(workdir, second_capture, tmp_path, capsys):
+    # Dataset 2's post capture lacks its post-reboot browser segment.
+    cut = _cut_capture(second_capture, tmp_path)
     out = tmp_path / "out"
     argv = ["compare", "--pre", str(workdir.sample), "--pre", str(second_capture),
             "--post", str(workdir.sample), "--post", str(cut),
@@ -444,6 +450,23 @@ def test_a_comparison_error_names_the_dataset_captures(workdir, second_capture, 
     assert _one_error_line(capsys) == (
         f"powertrace: --pre {second_capture}, --post {cut}: missing suspect segment "
         "(post_infection_reboot, open_browser) on rail 3v3"
+    )
+    assert not out.exists()
+
+
+def test_compare_takes_post_reboot_segments_only_from_the_post_reboot_capture(
+    workdir, second_capture, tmp_path, capsys
+):
+    # The --post capture holds a post-reboot browser segment, but the one
+    # the --post-reboot capture lacks is not taken from it.
+    cut = _cut_capture(second_capture, tmp_path)
+    out = tmp_path / "out"
+    argv = ["compare", "--pre", str(workdir.sample), "--post", str(second_capture),
+            "--post-reboot", str(cut), "--out", str(out), "--max-lag", "0.05"]
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: --pre {workdir.sample}, --post {second_capture}, --post-reboot {cut}: "
+        "missing suspect segment (post_infection_reboot, open_browser) on rail 3v3"
     )
     assert not out.exists()
 
@@ -1059,6 +1082,14 @@ def test_compare_holds_one_capture_table_at_a_time(workdir, second_capture, tmp_
     argv = ["compare", "--pre", str(workdir.sample), "--post", str(second_capture),
             "--post-reboot", str(workdir.sample), "--out", str(tmp_path), "--max-lag", "0.05"]
     assert _tables_alive_at_each_read(argv) == [0, 0, 0]
+
+
+def test_compare_reads_a_capture_given_for_both_post_states_once(
+    workdir, second_capture, tmp_path
+):
+    argv = ["compare", "--pre", str(workdir.sample), "--post", str(second_capture),
+            "--post-reboot", str(second_capture), "--out", str(tmp_path), "--max-lag", "0.05"]
+    assert _tables_alive_at_each_read(argv) == [0, 0]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -81,6 +83,25 @@ def test_calibration_validation():
     bad_scales[RailKind.RAIL_5V] = 0.0
     with pytest.raises(ValueError):
         CalibrationConfig(voltage_scale=bad_scales)
+
+
+@pytest.mark.parametrize("value, problem",
+                         [(0.0, "positive"), (math.nan, "positive"), (math.inf, "finite")])
+@pytest.mark.parametrize("name", ["adc_full_scale", "voltage_scale", "current_scale"])
+def test_calibration_scales_must_be_positive_and_finite(name, value, problem):
+    # A non-finite scale would write nan or inf cells, and Infinity into the manifest.
+    label, given = name, value
+    if name != "adc_full_scale":
+        label, given = f"{name}[5v]", {**dict.fromkeys(RAIL_ORDER, 2.0), RailKind.RAIL_5V: value}
+    with pytest.raises(ValueError, match=re.escape(f"{label} must be {problem}, got {value}")):
+        CalibrationConfig(**{name: given})
+
+
+def test_adc_step_of_the_largest_full_scale_is_finite():
+    assert CAL.lsb == 2.0 * CAL.adc_full_scale / (1 << CAL.adc_bits)
+    huge = CalibrationConfig(adc_full_scale=1e308)
+    assert huge.lsb == 1e308 / (1 << 15)
+    assert quantize(1.0, huge) == 0.0
 
 
 def test_write_then_read_round_trip(tmp_path):

@@ -118,6 +118,13 @@ def test_capture_run_rejects_non_positive_sample_period():
         _tiny_run(sample_period=0.0)
 
 
+def test_capture_run_rejects_non_finite_sample_period():
+    with pytest.raises(ValueError, match="non-finite sample_period inf"):
+        _tiny_run(sample_period=math.inf)
+    with pytest.raises(ValueError, match="non-positive sample_period nan"):
+        _tiny_run(sample_period=math.nan)
+
+
 def test_validate_run_reports_bad_dataset_index():
     with pytest.raises(ValueError, match="dataset_index must be >= 1, got 0"):
         _tiny_run(dataset_index=0)
