@@ -476,25 +476,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     dataset_reports: list[list[ComparisonReport]] = []
     report_payloads: list[tuple[Path, dict]] = []
-    for (pre_path, post_path, reboot_path), report_path in zip(datasets, report_paths):
-        pre = _analyze(pre_path, marker_params)
-        post = pre if post_path == pre_path else _analyze(post_path, marker_params)
-        reboot = post if reboot_path == post_path else _analyze(reboot_path, marker_params)
-        for path, run in ((post_path, post), (reboot_path, reboot)):
+    for dataset, report_path in zip(datasets, report_paths):
+        # A capture given for several roles is read, analyzed and pooled once.
+        analyzed = {path: _analyze(path, marker_params) for path in dict.fromkeys(dataset)}
+        pre_path, post_path, reboot_path = dataset
+        pre, post = analyzed[pre_path], analyzed[post_path]
+        for path, run in analyzed.items():
             # Windows and lags are counted in samples, so the captures need one period.
             if run.sample_period != pre.sample_period:
                 raise PowerTraceError(f"{path}: sample period {run.sample_period} s differs "
                                       f"from {pre.sample_period} s of --pre capture {pre_path}")
-        post_pool = post.pool()
-        reboot_pool = post_pool if reboot is post else reboot.pool()
+        pools = {path: run.pool() for path, run in analyzed.items()}
         # Each post state's segments come only from the capture given for it.
-        sources = {MachineState.POST_INFECTION: post_pool,
-                   MachineState.POST_INFECTION_REBOOT: reboot_pool}
+        sources = {MachineState.POST_INFECTION: pools[post_path],
+                   MachineState.POST_INFECTION_REBOOT: pools[reboot_path]}
         suspect_pool = {key: series for state, pool in sources.items()
                         for key, series in pool.items() if key[0] is state}
         try:
             reports = run_canonical_comparisons(
-                pre.pool(), suspect_pool, compare_params, pre.sample_period
+                pools[pre_path], suspect_pool, compare_params, pre.sample_period
             )
         except ComparisonError as exc:
             captures = (("--pre", pre_path), ("--post", args.post and post_path),

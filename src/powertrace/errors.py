@@ -14,10 +14,6 @@ class CaptureFormatError(PowerTraceError):
 class TimingError(PowerTraceError):
     """Timestamp column deviates from uniform sampling beyond tolerance."""
 
-    def __init__(self, message: str, row_index: int):
-        super().__init__(message)
-        self.row_index = row_index
-
 
 class ManifestError(PowerTraceError):
     """Run manifest is missing keys or carries unknown names."""

@@ -18,6 +18,7 @@ import contextlib
 import json
 import math
 import re
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,10 +48,17 @@ _COLUMNS = SAMPLE_HEADER.split(",")
 DEFAULT_VOLTAGE_SCALE = 2.0
 DEFAULT_CURRENT_SCALE = 1.0
 
-# Rows per formatted block when writing, characters per read when parsing:
-# both bound the memory of CSV I/O independently of the capture's length.
+# Rows per formatted block when writing, bytes per read when checking a
+# file to parse: both bound the memory of CSV I/O whatever the capture's length.
 _WRITE_ROWS = 8192
-_READ_CHARS = 1 << 16
+_READ_BYTES = 1 << 16
+
+# A sample file holding one of these bytes, or one past 0x7f, goes to the
+# reference parser: str.splitlines breaks lines at \x0b, \x0c and \x1c-\x1e
+# and numpy does not, and loadtxt strips \x1f from a cell as whitespace and
+# float() does not.
+_SLOW_BYTES = tuple(bytes([byte]) for byte in (0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F))
+_HEADER_LINES = tuple(f"{SAMPLE_HEADER}{end}".encode("ascii") for end in ("\n", "\r\n"))
 
 
 def _per_rail(value: float):
@@ -341,53 +349,51 @@ def write_capture(
     return sample_path, manifest_path
 
 
-def _load_sample_rows(fh) -> np.ndarray | None:
-    """Fast path: the sample table of an open capture, via numpy's C reader.
+def _load_sample_rows(sample_file: Path) -> np.ndarray | None:
+    """Fast path: the sample table of a capture, via numpy's C reader.
 
-    Lines are split as str.splitlines splits them, so the rows are those
-    _parse_sample_text sees, and each cell is read by the same strtod as
+    One binary pass checks the header and counts the line feeds, so that
+    loadtxt allocates the table once. It reads the file in text mode, whose
+    universal newlines split lines as str.splitlines does once _SLOW_BYTES
+    and non-ASCII bytes are ruled out, and each cell by the same strtod as
     float(). Returns None, leaving the file to _parse_sample_text, unless
     the header is exact and every row holds 9 finite numbers that loadtxt
     accepts: loadtxt rejects whitespace-only lines and '1_0', which float()
     accepts, and only the slow path words the error messages.
     """
-
-    def read() -> str:
-        chunk = fh.read(_READ_CHARS)
-        if "\x1f" in chunk:
-            # loadtxt strips this from a cell as whitespace; float() rejects it.
-            raise ValueError("unit separator in sample file")
-        return chunk
-
-    def lines(buf: str):
-        while chunk := read():
-            parts = (buf + chunk).splitlines(keepends=True)
-            buf = parts.pop()
-            yield from parts
-        yield from buf.splitlines(keepends=True)
-
-    try:
-        if fh.readline() != SAMPLE_HEADER + "\n":
+    newlines = 1  # the header's
+    with sample_file.open("rb") as fh:
+        if fh.readline(len(_HEADER_LINES[1])) not in _HEADER_LINES:
             return None
-        head = read()
-        if not head.strip("\n"):
-            return None  # loadtxt would warn about an empty table
-        data = np.loadtxt(lines(head), delimiter=",", dtype=np.float64, ndmin=2, comments=None)
-    except ValueError:  # a cell loadtxt rejects, or a byte that is not ASCII
+        while chunk := fh.read(_READ_BYTES):
+            # Vectorized scans, 0.6 ms per MB together on a 2-core VM, against
+            # 2.5 ms for bytes.translate and bytes.count, which loop per byte.
+            if not chunk.isascii() or any(byte in chunk for byte in _SLOW_BYTES):
+                return None
+            newlines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+    # Given a path, numpy would pick a decompressor by its suffix (.gz, .bz2, .xz).
+    with sample_file.open(encoding="ascii") as fh, warnings.catch_warnings():
+        # max_rows makes loadtxt warn about blank lines and an empty table.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, skiprows=1, ndmin=2,
+                              comments=None, max_rows=newlines + 1)
+        except ValueError:  # a cell loadtxt rejects
+            return None
+    # More rows than line feeds: a lone '\r' broke a line, or the file grew.
+    if not 0 < len(data) <= newlines or data.shape[1] != len(_COLUMNS):
         return None
-    if data.shape[1] != len(_COLUMNS) or not np.isfinite(data).all():
-        return None
-    return data
+    return data if np.isfinite(data).all() else None
 
 
 def _parse_sample_file(sample_file: Path) -> np.ndarray:
     try:
-        with sample_file.open(encoding="ascii") as fh:
-            data = _load_sample_rows(fh)
+        data = _load_sample_rows(sample_file)
         if data is None:
             data = _parse_sample_text(sample_file.read_text(encoding="ascii"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CaptureFormatError(f"cannot read sample file {sample_file}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # the caller names the file
+        reason = getattr(exc, "strerror", None) or exc
+        raise CaptureFormatError(f"cannot read sample file: {reason}") from None
     return data
 
 
@@ -444,29 +450,26 @@ def _check_timestamps(t: np.ndarray, sample_period: float) -> None:
             row = int(np.argmax(bad)) + 1
             raise TimingError(
                 f"non-uniform timestamp at row {row}: step {float(steps[row - 1]):.9g} s "
-                f"vs sample period {sample_period:.9g} s",
-                row_index=row,
+                f"vs sample period {sample_period:.9g} s"
             )
 
 
-def read_capture(
-    sample_file: str | Path,
-    manifest_file: str | Path,
-    cal: CalibrationConfig | None = None,
-) -> CaptureRun:
-    """Load a capture run, applying calibration to recover engineering units.
+def read_capture(sample_file: str | Path, manifest_file: str | Path) -> CaptureRun:
+    """Load a capture run, applying the manifest's calibration to recover
+    engineering units.
 
-    When *cal* is omitted the manifest's embedded calibration is used.
     Rejects non-uniform timestamp columns (tolerance: 10% of the sample
-    period at any step).
+    period at any step). A sample file error does not name the file, which
+    the caller knows; a manifest that cannot be read or decoded is named.
     """
     manifest_file = Path(manifest_file)
     try:
         manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest {manifest_file}: {exc}") from None
+        reason = getattr(exc, "strerror", None) or exc
+        raise ManifestError(f"cannot read manifest {manifest_file}: {reason}") from None
     except (ValueError, RecursionError) as exc:  # also nesting or int digits past a limit
-        raise ManifestError(f"manifest is not valid JSON: {exc}") from None
+        raise ManifestError(f"manifest {manifest_file} is not valid JSON: {exc}") from None
     _require_object(manifest, "manifest")
 
     required = (
@@ -486,8 +489,7 @@ def read_capture(
     units = manifest["units"]
     if units not in ("engineering", "raw"):
         raise ManifestError(f"units must be 'engineering' or 'raw', got '{units}'")
-    if cal is None:
-        cal = _calibration_from_json(manifest["calibration"])
+    cal = _calibration_from_json(manifest["calibration"])
     schedule = _schedule_from_json(manifest["schedule"])
     marker_count = wire_scalar(
         int, manifest["expected_marker_count"], "manifest expected_marker_count", ManifestError

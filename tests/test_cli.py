@@ -841,6 +841,24 @@ def test_undecodable_byte_names_the_file_and_offset(workdir, compared, tmp_path,
     assert f"byte 0x{raw[offset]:02x} in position {offset}" in message
 
 
+@pytest.mark.parametrize("broken, detail", [
+    ("sample", "cannot read sample file: No such file or directory"),
+    ("manifest", "cannot read manifest {manifest}: No such file or directory"),
+    ("json", "manifest {manifest} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+])
+def test_an_unreadable_input_is_named_once(workdir, tmp_path, capsys, broken, detail):
+    sample = _copy_capture(workdir.sample, tmp_path / "y.csv")
+    manifest = manifest_path_for(sample)
+    if broken == "json":
+        manifest.write_text("not json", encoding="ascii")
+    else:
+        {"sample": sample, "manifest": manifest}[broken].unlink()
+    assert main(["analyze", str(sample), "--out", str(tmp_path / "out")]) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {sample}: {detail.format(manifest=manifest)}"
+    )
+
+
 @pytest.mark.parametrize("command", ["synth", "analyze", "aggregate"])
 def test_a_second_run_into_the_same_out_writes_identical_bytes(
     workdir, compared, tmp_path, command
@@ -1079,8 +1097,9 @@ def _tables_alive_at_each_read(argv: list[str]) -> list[int]:
 
 
 def test_compare_holds_one_capture_table_at_a_time(workdir, second_capture, tmp_path):
+    copy = _copy_capture(workdir.sample, tmp_path / "copy.csv")
     argv = ["compare", "--pre", str(workdir.sample), "--post", str(second_capture),
-            "--post-reboot", str(workdir.sample), "--out", str(tmp_path), "--max-lag", "0.05"]
+            "--post-reboot", str(copy), "--out", str(tmp_path), "--max-lag", "0.05"]
     assert _tables_alive_at_each_read(argv) == [0, 0, 0]
 
 
@@ -1089,6 +1108,14 @@ def test_compare_reads_a_capture_given_for_both_post_states_once(
 ):
     argv = ["compare", "--pre", str(workdir.sample), "--post", str(second_capture),
             "--post-reboot", str(second_capture), "--out", str(tmp_path), "--max-lag", "0.05"]
+    assert _tables_alive_at_each_read(argv) == [0, 0]
+
+
+def test_compare_reads_a_capture_given_for_pre_and_post_reboot_once(
+    workdir, second_capture, tmp_path
+):
+    argv = ["compare", "--pre", str(workdir.sample), "--post", str(second_capture),
+            "--post-reboot", str(workdir.sample), "--out", str(tmp_path), "--max-lag", "0.05"]
     assert _tables_alive_at_each_read(argv) == [0, 0]
 
 

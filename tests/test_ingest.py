@@ -251,9 +251,8 @@ def test_read_rejects_non_uniform_timestamps(tmp_path):
     cells[0] = f"{float(cells[0]) + 0.005:.6f}"  # 50% step error
     lines[6] = ",".join(cells)
     sample_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TimingError) as excinfo:
+    with pytest.raises(TimingError, match="at row 5: "):
         read_capture(sample_path, manifest_path)
-    assert excinfo.value.row_index == 5
 
 
 def test_read_tolerates_small_timestamp_jitter(tmp_path):
@@ -350,21 +349,6 @@ def test_read_rejects_bad_units(tmp_path):
     _mutate_manifest(manifest_path, lambda obj: obj.__setitem__("units", "counts"))
     with pytest.raises(ManifestError, match="units"):
         read_capture(sample_path, manifest_path)
-
-
-def test_explicit_calibration_overrides_manifest(tmp_path):
-    run = random_run(np.random.default_rng(9), n=40)
-    sample_path, manifest_path = write_capture(run, CAL, tmp_path, units="raw")
-    doubled = CalibrationConfig(
-        voltage_scale={rail: 4.0 for rail in RAIL_ORDER},
-        current_scale={rail: 1.0 for rail in RAIL_ORDER},
-    )
-    back = read_capture(sample_path, manifest_path, cal=doubled)
-    default_back = read_capture(sample_path, manifest_path)
-    for rail in RAIL_ORDER:
-        assert np.allclose(
-            back.rails[rail].voltage, 2.0 * default_back.rails[rail].voltage
-        )
 
 
 # --- CSV I/O: the fast paths against per-row and list-of-strings references ---
@@ -516,28 +500,38 @@ _ROW_WITH_FORM_FEED = _ROW.replace(",4", "\x0c,4")
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=_sample_texts(), read_chars=st.sampled_from([1, 2, 7, 64, ingest._READ_CHARS]))
-@example(text=f"{SAMPLE_HEADER}\n{_ROW}\x1f\n", read_chars=ingest._READ_CHARS)
-@example(text=f"{SAMPLE_HEADER}\n{_ROW_WITH_FORM_FEED}\n", read_chars=2)
-@example(text=f"{SAMPLE_HEADER}\n{_ROW[:-2]}\r\n{_ROW[:-2]}\r\n", read_chars=7)
-@example(text=f"{SAMPLE_HEADER}\n1_0{_ROW[3:]}\n \n{_ROW}", read_chars=ingest._READ_CHARS)
-@example(text=f"{SAMPLE_HEADER}\n{_ROW}\nnan{_ROW[3:]}\n", read_chars=1)
-def test_fast_parse_equals_the_reference_parser(scratch_csv, text, read_chars):
+@given(text=_sample_texts(), read_size=st.sampled_from([1, 2, 7, 64, ingest._READ_BYTES]))
+@example(text=f"{SAMPLE_HEADER}\n{_ROW}\x1f\n", read_size=ingest._READ_BYTES)
+@example(text=f"{SAMPLE_HEADER}\n{_ROW_WITH_FORM_FEED}\n", read_size=2)
+@example(text=f"{SAMPLE_HEADER}\n{_ROW[:-2]}\r\n{_ROW[:-2]}\r\n", read_size=7)
+@example(text=f"{SAMPLE_HEADER}\n1_0{_ROW[3:]}\n \n{_ROW}", read_size=ingest._READ_BYTES)
+@example(text=f"{SAMPLE_HEADER}\n{_ROW}\nnan{_ROW[3:]}\n", read_size=1)
+def test_fast_parse_equals_the_reference_parser(scratch_csv, text, read_size):
     # A new file each time: truncating a written one can wait for a flush.
     scratch_csv.unlink(missing_ok=True)
     scratch_csv.write_bytes(text.encode("ascii"))
     reference = _outcome(lambda: ingest._parse_sample_text(scratch_csv.read_text(encoding="ascii")))
-    with mock.patch.object(ingest, "_READ_CHARS", read_chars):
+    with mock.patch.object(ingest, "_READ_BYTES", read_size):
         assert _outcome(lambda: ingest._parse_sample_file(scratch_csv)) == reference
 
 
 def test_fast_parse_takes_a_written_capture(tmp_path):
     run = random_run(np.random.default_rng(11), n=500)
     sample_path, _ = write_capture(run, CAL, tmp_path)
-    with sample_path.open(encoding="ascii") as fh:
-        data = ingest._load_sample_rows(fh)
+    data = ingest._load_sample_rows(sample_path)
     assert data is not None
     reference = ingest._parse_sample_text(sample_path.read_text(encoding="ascii"))
+    assert data.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_fast_parse_reads_a_sample_file_whatever_its_suffix(tmp_path, suffix):
+    run = random_run(np.random.default_rng(11), n=50)
+    sample_path, _ = write_capture(run, CAL, tmp_path)
+    renamed = sample_path.rename(sample_path.with_suffix(suffix))
+    data = ingest._load_sample_rows(renamed)
+    assert data is not None
+    reference = ingest._parse_sample_text(renamed.read_text(encoding="ascii"))
     assert data.tobytes() == reference.tobytes()
 
 
@@ -547,10 +541,21 @@ def test_fast_parse_leaves_whitespace_lines_to_the_reference_parser(tmp_path):
     lines.insert(4, "   ")
     lines[6] = lines[6].replace(",", " ,", 1)
     sample_path.write_text("\r\n".join(lines) + "\r\n")
-    with sample_path.open(encoding="ascii") as fh:
-        assert ingest._load_sample_rows(fh) is None
+    assert ingest._load_sample_rows(sample_path) is None
     back = read_capture(sample_path, manifest_path)
     assert len(back.rails[RailKind.RAIL_3V3]) == 30
+
+
+def test_a_table_reaching_its_counted_rows_goes_to_the_reference_parser(tmp_path):
+    # loadtxt also breaks lines at a lone '\r', so this table has more rows
+    # than the file has line feeds, and reaches the bound they set.
+    sample_path = tmp_path / "sample.csv"
+    sample_path.write_bytes(f"{SAMPLE_HEADER}\n{_ROW}\r{_ROW}\r{_ROW}\n".encode("ascii"))
+    assert ingest._load_sample_rows(sample_path) is None
+    data = ingest._parse_sample_file(sample_path)
+    assert data.shape == (3, 9)
+    reference = ingest._parse_sample_text(sample_path.read_text(encoding="ascii"))
+    assert data.tobytes() == reference.tobytes()
 
 
 def test_read_capture_allocates_under_four_times_its_array(tmp_path):

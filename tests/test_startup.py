@@ -122,12 +122,12 @@ def test_traced_names_resolve_and_a_replacement_is_the_one_called(round_trip):
     result = _run_python(WRAP_POINTS, json.dumps([TRACED, [*rest, synth]]))
     assert result["resolved"] == list(TRACED)
     assert result["codes"] == [0] * 4
-    # Two datasets; compare takes both sides of each from one --pre capture.
+    # Two datasets; compare reads and pools each one's --pre capture once for both sides.
     per_capture = {"_read_capture": 2, "compute_power": 8, "detect_markers": 2,
                    "segment_events": 2}
     assert result["calls"] == {
         "analyze": per_capture,
-        "compare": {**per_capture, "segment_power_pool": 4, "run_canonical_comparisons": 2,
+        "compare": {**per_capture, "segment_power_pool": 2, "run_canonical_comparisons": 2,
                     "aggregate": 1},
         "aggregate": {"aggregate": 1},
         "synth": {"generate_ensemble": 2, "write_capture": 2},
