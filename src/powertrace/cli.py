@@ -23,9 +23,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import AggregationError, ComparisonError, PowerTraceError
-from .model import RAIL_ORDER, MachineState, RailKind, from_wire, to_wire, wire_scalar
-from .report import (CompareParams, ComparisonKind, ComparisonReport, MarkerParams, Verdict,
-                     aggregate, write_text_output)
+from .model import RAIL_ORDER, MachineState, RailKind, decode, from_wire, to_wire
+from .report import CompareParams, ComparisonReport, MarkerParams, aggregate, write_text_output
 
 if TYPE_CHECKING:
     from .compare import SegmentPool
@@ -332,35 +331,6 @@ class _PlotWriter:
         return PowerTraceError(f"{capture}: a plot-writing worker process ended abruptly")
 
 
-def _report_from_json(obj: dict, source: str) -> ComparisonReport:
-    def scalar(kind: type, key: str):
-        return wire_scalar(kind, obj[key], key, ValueError)
-
-    try:
-        if not isinstance(obj, dict):
-            raise TypeError(f"expected an object, got {obj!r}")
-        return ComparisonReport(
-            kind=from_wire(ComparisonKind, obj["kind"], "kind", ValueError),
-            rail=from_wire(RailKind, obj["rail"], "rail", ValueError),
-            baseline_median_w=scalar(float, "baseline_median_w"),
-            suspect_median_w=scalar(float, "suspect_median_w"),
-            delta_w=scalar(float, "delta_w"),
-            relative_increase=(
-                None if obj.get("relative_increase") is None
-                else scalar(float, "relative_increase")
-            ),
-            lag_s=scalar(float, "lag_s"),
-            lag_samples=scalar(int, "lag_samples"),
-            lag_zero_variance=scalar(bool, "lag_zero_variance"),
-            baseline_spikes=scalar(int, "baseline_spikes"),
-            suspect_spikes=scalar(int, "suspect_spikes"),
-            verdict=from_wire(Verdict, obj["verdict"], "verdict", ValueError),
-            noisy=wire_scalar(bool, obj.get("noisy", False), "noisy", ValueError),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PowerTraceError(f"{source}: malformed comparison report ({exc})") from None
-
-
 def _aggregate_payload(dataset_reports: list[list[ComparisonReport]]) -> dict:
     agg = aggregate(dataset_reports)
     return {
@@ -548,8 +518,12 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         elif obj.get("params") != first_params:
             key = _first_difference(first_params, obj.get("params"))
             return _fail(f"{path}: params differ from those of {paths[0]}, first at '{key}'")
+
+        def malformed(message: str) -> PowerTraceError:
+            return PowerTraceError(f"{path}: malformed comparison report ({message})")
+
         dataset_reports.append(
-            [_report_from_json(entry, str(path)) for entry in obj["reports"]]
+            [decode(ComparisonReport, entry, "", malformed) for entry in obj["reports"]]
         )
     try:
         payload = _aggregate_payload(dataset_reports)

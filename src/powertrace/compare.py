@@ -11,7 +11,6 @@ are re-exported here.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Iterator
 
 import numpy as np
@@ -20,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import AlignmentError, ComparisonError
 from .model import DEFAULT_SAMPLE_PERIOD_S, RAIL_ORDER, EventKind, MachineState, RailKind
 from .power import window_sample_count, windowed_means
-from .report import (COMPARISON_PAIRING, NOISY_KINDS, AggregateCell, AggregateReport,
+from .report import (COMPARISON_PAIRING, NOISY_KINDS, AggregateCell, AggregateReport, CellResult,
                      CompareParams, ComparisonKind, ComparisonReport, LagResult, Verdict, aggregate)
 from .segment import EventSegment
 
@@ -264,7 +263,7 @@ def classify_increment(
     suspect: np.ndarray,
     params: CompareParams | None = None,
     sample_period: float = DEFAULT_SAMPLE_PERIOD_S,
-) -> ComparisonReport:
+) -> CellResult:
     """Decide INCREMENT or NO_INCREMENT for one baseline/suspect pair.
 
     INCREMENT iff the suspect's median windowed mean exceeds the
@@ -303,9 +302,7 @@ def classify_increment(
     else:
         lag = LagResult(lag_s=0.0, lag_samples=0, zero_variance=False)
 
-    return ComparisonReport(
-        kind=None,
-        rail=None,
+    return CellResult(
         baseline_median_w=base_med,
         suspect_median_w=susp_med,
         delta_w=delta,
@@ -358,7 +355,7 @@ def run_canonical_comparisons(
                     raise ComparisonError(f"missing {side} segment ({state.wire_name}, "
                                           f"{event.wire_name}) on rail {rail.wire_name}")
                 series.append(pool[state, event, rail])
-            report = classify_increment(*series, params, sample_period)
-            reports.append(dataclasses.replace(report, kind=kind, rail=rail,
-                                               noisy=kind in NOISY_KINDS))
+            cell = classify_increment(*series, params, sample_period)
+            reports.append(ComparisonReport(**vars(cell), kind=kind, rail=rail,
+                                            noisy=kind in NOISY_KINDS))
     return reports

@@ -34,6 +34,7 @@ from .model import (
     MachineState,
     RailKind,
     RunSchedule,
+    decode,
     from_wire,
     to_wire,
     wire_scalar,
@@ -166,35 +167,6 @@ def _require_object(value, context: str) -> dict:
 def _manifest_error(context: str):
     """A ManifestError factory whose messages start with *context*."""
     return lambda message: ManifestError(f"{context}: {message}")
-
-
-def _calibration_from_json(obj: dict) -> CalibrationConfig:
-    _require_object(obj, "manifest calibration")
-    for key in ("adc_bits", "adc_full_scale", "voltage_scale", "current_scale"):
-        if key not in obj:
-            raise ManifestError(f"calibration missing key '{key}'")
-    scales: dict[str, dict[RailKind, float]] = {}
-    for name in ("voltage_scale", "current_scale"):
-        per_rail: dict[RailKind, float] = {}
-        for rail_name, value in _require_object(obj[name], f"calibration {name}").items():
-            rail = from_wire(RailKind, rail_name, "rail name", _manifest_error(f"calibration {name}"))
-            context = f"calibration {name}[{rail_name}]"
-            per_rail[rail] = wire_scalar(float, value, context, ManifestError)
-        for rail in RAIL_ORDER:
-            if rail not in per_rail:
-                raise ManifestError(f"calibration {name}: missing rail {rail.wire_name}")
-        scales[name] = per_rail
-    try:
-        return CalibrationConfig(
-            voltage_scale=scales["voltage_scale"],
-            current_scale=scales["current_scale"],
-            adc_bits=wire_scalar(int, obj["adc_bits"], "calibration adc_bits", ManifestError),
-            adc_full_scale=wire_scalar(
-                float, obj["adc_full_scale"], "calibration adc_full_scale", ManifestError
-            ),
-        )
-    except ValueError as exc:
-        raise ManifestError(f"invalid calibration: {exc}") from None
 
 
 def _schedule_from_json(entries: list) -> RunSchedule:
@@ -489,7 +461,7 @@ def read_capture(sample_file: str | Path, manifest_file: str | Path) -> CaptureR
     units = manifest["units"]
     if units not in ("engineering", "raw"):
         raise ManifestError(f"units must be 'engineering' or 'raw', got '{units}'")
-    cal = _calibration_from_json(manifest["calibration"])
+    cal = decode(CalibrationConfig, manifest["calibration"], "manifest.calibration", ManifestError)
     schedule = _schedule_from_json(manifest["schedule"])
     marker_count = wire_scalar(
         int, manifest["expected_marker_count"], "manifest expected_marker_count", ManifestError

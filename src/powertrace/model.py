@@ -9,11 +9,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import typing
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
 from types import MappingProxyType
 from typing import TYPE_CHECKING
+
+from .errors import PowerTraceError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,6 +123,76 @@ def wire_scalar(kind: type, value, context: str, error: type[Exception]):
         if isinstance(value, kind) and (kind is not float or math.isfinite(value)):
             return value
     raise error(f"{context}: expected {kind.__name__}, got {value!r}")
+
+
+def decode(hint, obj, context: str, error: Callable[[str], Exception]):
+    """*obj*, decoded from JSON, as a *hint*; else raises *error* naming the path.
+
+    A dataclass is an object holding every init field and nothing else,
+    a dict[Enum, V] table an object keyed by every member's wire name, an
+    enum a wire name, and int, float, bool and str are read by
+    wire_scalar; X | None also takes null. Paths run from *context* in
+    the form a.b[c]; a dataclass whose own checks fail names its path.
+    """
+    return _reader(hint)(obj, context, error)
+
+
+def _at(context: str, message: str) -> str:
+    return f"{context}: {message}" if context else message
+
+
+def _object_reader(plan: tuple, sep: str, build: Callable) -> Callable:
+    """Reader of a JSON object that holds exactly the keys of *plan*.
+
+    *plan* holds a (key, path suffix, reader) triple per key; *build* is
+    called with the decoded values in plan order. A value's path is the
+    object's, then *sep*, then its suffix.
+    """
+    keys = [key for key, _, _ in plan]
+
+    def read(obj, context, error):
+        if not isinstance(obj, dict):
+            raise error(_at(context, f"expected a JSON object, got {type(obj).__name__}"))
+        prefix = f"{context}{sep}" if context else ""
+        values = []  # a loop: on Python 3.11 a comprehension costs a call per object
+        try:
+            for key, suffix, read_value in plan:
+                values.append(read_value(obj[key], prefix + suffix, error))
+        except KeyError:  # a key is missing
+            values = None
+        if values is None or len(obj) != len(plan):
+            missing = [key for key in keys if key not in obj]
+            unknown = sorted(obj.keys() - set(keys))
+            problem = f"missing keys {missing}" if missing else f"unknown keys {unknown}"
+            raise error(_at(context, problem))
+        try:
+            return build(*values)
+        except (ValueError, PowerTraceError) as exc:  # a dataclass's own checks
+            raise error(_at(context, str(exc))) from None
+
+    return read
+
+
+@functools.cache
+def _reader(hint) -> Callable:
+    """One (obj, context, error) -> value reader per hint, built once."""
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        plan = tuple((f.name, f.name, _reader(hints[f.name])) for f in fields(hint) if f.init)
+        return _object_reader(plan, ".", hint)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is dict:
+        members, read_value = _members_by_wire(args[0]), _reader(args[1])
+        plan = tuple((name, f"[{name}]", read_value) for name in members)
+        return _object_reader(plan, "", lambda *values: dict(zip(members.values(), values)))
+    if type(None) in args:
+        (inner,) = (_reader(arg) for arg in args if arg is not type(None))
+        return lambda obj, context, error: None if obj is None else inner(obj, context, error)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return functools.partial(from_wire, hint)
+    if hint in (int, float, bool, str):
+        return functools.partial(wire_scalar, hint)
+    raise TypeError(f"cannot decode {hint!r}")
 
 
 @dataclass(frozen=True)

@@ -124,16 +124,12 @@ class LagResult:
 
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    """Metrics and verdict for one baseline/suspect pairing on one rail.
+class CellResult:
+    """Metrics and verdict for one baseline/suspect pair, from classify_increment.
 
-    kind and rail are None for a bare classify_increment call and filled
-    in by run_canonical_comparisons. relative_increase is None when the
-    baseline median is not positive.
+    relative_increase is None when the baseline median is not positive.
     """
 
-    kind: ComparisonKind | None
-    rail: RailKind | None
     baseline_median_w: float
     suspect_median_w: float
     delta_w: float
@@ -144,6 +140,14 @@ class ComparisonReport:
     baseline_spikes: int
     suspect_spikes: int
     verdict: Verdict
+
+
+@dataclass(frozen=True)
+class ComparisonReport(CellResult):
+    """A cell result labeled with its pairing and rail; noisy marks a kind in NOISY_KINDS."""
+
+    kind: ComparisonKind
+    rail: RailKind
     noisy: bool = False
 
 

@@ -33,7 +33,8 @@ from .model import (
     MachineState,
     RailKind,
     RunSchedule,
-    wire_scalar,
+    decode,
+    to_wire,
 )
 
 # The stress script hammers the CPU, so markers land on the CPU 12V rail.
@@ -384,40 +385,12 @@ def generate_ensemble(
     ]
 
 
-# JSON scenario files mirror the dataclass fields, with rails and events
-# keyed by their wire names. Unknown keys are rejected to catch typos.
-
-
-def _merge(default, obj, context: str):
-    """*obj*, decoded from JSON, merged over *default*.
-
-    A dataclass node is keyed by its init field names, a rail or event
-    table by wire names; keys absent from *obj* keep the default. A
-    scalar is read as the type of the default it replaces.
-    """
-    if not (dataclasses.is_dataclass(default) or isinstance(default, dict)):
-        return wire_scalar(type(default), obj, context, ScenarioConfigError)
-    if not isinstance(obj, dict):
-        raise ScenarioConfigError(f"{context} must be an object")
-    if isinstance(default, dict):
-        keys = {key.wire_name: key for key in default}
-        children, path = default, "{}[{}]"
-    else:
-        keys = {f.name: f.name for f in dataclasses.fields(default) if f.init}
-        children, path = vars(default), "{}.{}"
-    unknown = obj.keys() - keys.keys()
-    if unknown:
-        raise ScenarioConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    merged = {
-        keys[name]: _merge(children[keys[name]], value, path.format(context, name))
-        for name, value in obj.items()
-    }
-    if isinstance(default, dict):
-        return {**default, **merged}
-    try:
-        return dataclasses.replace(default, **merged)
-    except ScenarioConfigError as exc:  # a bound check, which knows no path
-        raise ScenarioConfigError(f"{context}: {exc}") from None
+def _merged(default, obj):
+    """*obj* over *default*, both decoded from JSON: a key left out of an
+    object, at any depth, keeps its default."""
+    if not (isinstance(default, dict) and isinstance(obj, dict)):
+        return obj
+    return {**default, **{key: _merged(default.get(key), value) for key, value in obj.items()}}
 
 
 def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect | None] | None]:
@@ -432,7 +405,8 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect 
     if "seed" not in obj:
         raise ScenarioConfigError("scenario must set 'seed'")
     fields = {key: value for key, value in obj.items() if key != "dataset_infections"}
-    config = _merge(ScenarioConfig(seed=0), fields, "scenario")
+    config = decode(ScenarioConfig, _merged(to_wire(ScenarioConfig(seed=0)), fields), "scenario",
+                    ScenarioConfigError)
     if "dataset_infections" not in obj:
         return config, None
     raw = obj["dataset_infections"]
@@ -440,7 +414,8 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect 
         raise ScenarioConfigError("scenario.dataset_infections must be a list")
     return config, [
         None if entry is None
-        else _merge(InfectionEffect(), entry, f"scenario.dataset_infections[{i}]")
+        else decode(InfectionEffect, _merged(to_wire(InfectionEffect()), entry),
+                    f"scenario.dataset_infections[{i}]", ScenarioConfigError)
         for i, entry in enumerate(raw)
     ]
 

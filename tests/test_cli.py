@@ -277,7 +277,9 @@ def test_aggregate_rejects_non_object_reports(tmp_path, capsys, payload, message
         ({"seed": 1, "idle_duration": [2]}, "scenario.idle_duration: expected float"),
         ({"seed": 1, "infection": {"lag_s": "x"}}, "infection.lag_s: expected float"),
         ({"seed": 1, "noise_sigma": {"5v": "x"}}, "noise_sigma[5v]: expected float"),
-        ({"seed": 1, "baseline_power": 5}, "baseline_power must be an object"),
+        pytest.param({"seed": 1, "baseline_power": 5},
+                     "scenario.baseline_power: expected a JSON object, got int",
+                     id="scenario5-baseline_power"),
         ({"seed": True}, "scenario.seed: expected int, got True"),
         ({"seed": 1.5}, "scenario.seed: expected int, got 1.5"),
         ({"seed": 1, "idle_duration": float("inf")}, "scenario.idle_duration: expected float"),
@@ -514,15 +516,61 @@ def test_report_decoding_makes_no_per_report_wire_scan(compared):
     # to_wire for each report, so 1,000 reports would make more calls than 1.
     payload = json.loads((compared / f"{STEM}.comparison.json").read_text())
     entry = payload["reports"][0]
-    cli._report_from_json(entry, "warm-up")
+    args = (powertrace.ComparisonReport, entry, "", powertrace.PowerTraceError)
+    powertrace.model.decode(*args)
     calls = []
     with mock.patch("powertrace.model.to_wire", side_effect=powertrace.model.to_wire) as wrapped:
         for n in (1, 1000):
             wrapped.reset_mock()
-            decoded = [cli._report_from_json(entry, "report") for _ in range(n)]
+            decoded = [powertrace.model.decode(*args) for _ in range(n)]
             calls.append(wrapped.call_count)
             assert len(set(decoded)) == 1
     assert calls[0] == calls[1]
+
+
+@pytest.mark.parametrize(
+    "document, edit, message",
+    [
+        ("report", lambda report: report.pop("noisy"),
+         "malformed comparison report (missing keys ['noisy'])"),
+        ("report", lambda report: report.update(noisey=False),
+         "malformed comparison report (unknown keys ['noisey'])"),
+        ("calibration", lambda calibration: calibration.pop("adc_bits"),
+         "manifest.calibration: missing keys ['adc_bits']"),
+        ("calibration", lambda calibration: calibration.update(adc_bitz=16),
+         "manifest.calibration: unknown keys ['adc_bitz']"),
+        ("scenario", lambda scenario: scenario.update(sed=scenario.pop("seed")),
+         "scenario must set 'seed'"),
+    ],
+    ids=["report_missing", "report_unknown", "calibration_missing", "calibration_unknown",
+         "scenario_seed"],
+)
+def test_an_incomplete_or_misspelled_input_is_refused_naming_the_key(
+    workdir, compared, tmp_path, capsys, document, edit, message
+):
+    # A report or a manifest calibration must be complete; a scenario is
+    # merged over the defaults but must set its seed. No input may carry a
+    # key that nothing reads.
+    out = str(tmp_path / "out")
+    if document == "report":
+        payload = json.loads((compared / f"{STEM}.comparison.json").read_text())
+        edit(payload["reports"][0])
+        path = tmp_path / "edited.comparison.json"
+        argv = ["aggregate", str(path), "--out", out]
+    elif document == "calibration":
+        sample = _copy_capture(workdir.sample, tmp_path / "edited.csv")
+        path = manifest_path_for(sample)
+        payload = json.loads(path.read_text())
+        edit(payload["calibration"])
+        argv = ["analyze", str(sample), "--out", out]
+    else:
+        payload = dict(SCENARIO)
+        edit(payload)
+        path = tmp_path / "scenario.json"
+        argv = ["synth", "--config", str(path), "--out", out]
+    path.write_text(json.dumps(payload), encoding="ascii")
+    assert main(argv) == 1
+    assert _one_error_line(capsys).endswith(f": {message}")
 
 
 def test_aggregate_rejects_a_fold_with_different_params(compared, tmp_path, capsys):

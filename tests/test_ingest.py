@@ -285,7 +285,8 @@ def test_read_rejects_unknown_rail_in_calibration(tmp_path):
         obj["calibration"]["voltage_scale"]["24v"] = 1.0
 
     _mutate_manifest(manifest_path, mutate)
-    with pytest.raises(ManifestError, match="unknown rail name '24v'"):
+    message = "manifest.calibration.voltage_scale: unknown keys ['24v']"
+    with pytest.raises(ManifestError, match=re.escape(message)):
         read_capture(sample_path, manifest_path)
 
 
@@ -324,11 +325,13 @@ def test_read_rejects_schedule_that_is_not_a_list(tmp_path):
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        (None, 3, "manifest calibration: expected a JSON object, got int"),
-        ("voltage_scale", [1.0, 2.0], "calibration voltage_scale: expected a JSON object"),
-        ("current_scale", 5, "calibration current_scale: expected a JSON object"),
-        ("adc_bits", [16], "calibration adc_bits: expected int"),
+        (None, 3, "manifest.calibration: expected a JSON object, got int"),
+        ("voltage_scale", [1.0, 2.0],
+         "manifest.calibration.voltage_scale: expected a JSON object, got list"),
+        ("current_scale", 5, "manifest.calibration.current_scale: expected a JSON object, got int"),
+        ("adc_bits", [16], "manifest.calibration.adc_bits: expected int, got [16]"),
     ],
+    ids=["calibration", "voltage_scale", "current_scale", "adc_bits"],
 )
 def test_read_rejects_calibration_of_the_wrong_shape(tmp_path, key, value, message):
     sample_path, manifest_path = _written_pair(tmp_path)
@@ -340,7 +343,7 @@ def test_read_rejects_calibration_of_the_wrong_shape(tmp_path, key, value, messa
             obj["calibration"][key] = value
 
     _mutate_manifest(manifest_path, mutate)
-    with pytest.raises(ManifestError, match=message):
+    with pytest.raises(ManifestError, match=re.escape(message)):
         read_capture(sample_path, manifest_path)
 
 

@@ -13,13 +13,17 @@ from hypothesis import strategies as st
 from conftest import compact_scenario, idle_delta
 from powertrace import (
     CalibrationConfig,
+    ComparisonKind,
+    ComparisonReport,
     EventKind,
     InfectionEffect,
     MachineState,
+    PowerTraceError,
     RAIL_ORDER,
     RailKind,
     ScenarioConfig,
     ScenarioConfigError,
+    Verdict,
     classify_increment,
     compute_power,
     detect_markers,
@@ -30,7 +34,7 @@ from powertrace import (
     scenario_from_dict,
     write_capture,
 )
-from powertrace.model import to_wire
+from powertrace.model import decode, to_wire
 from powertrace.synth import MARKER_RAIL, MAX_SAMPLES, check_ensemble
 
 
@@ -370,6 +374,38 @@ SCENARIOS = _builds(
 def test_scenario_json_round_trips(config, infections):
     wire = json.loads(json.dumps({**to_wire(config), "dataset_infections": to_wire(infections)}))
     assert scenario_from_dict(wire) == (config, infections)
+
+
+REPORTS = _builds(
+    ComparisonReport,
+    baseline_median_w=_floats(),
+    suspect_median_w=_floats(),
+    delta_w=_floats(),
+    relative_increase=st.none() | _floats(),
+    lag_s=_floats(),
+    lag_samples=st.integers(),
+    lag_zero_variance=st.booleans(),
+    baseline_spikes=st.integers(min_value=0),
+    suspect_spikes=st.integers(min_value=0),
+    verdict=st.sampled_from(Verdict),
+    kind=st.sampled_from(ComparisonKind),
+    rail=st.sampled_from(RailKind),
+    noisy=st.booleans(),
+)
+CALIBRATIONS = _builds(
+    CalibrationConfig,
+    voltage_scale=_table((RAIL_ORDER,), _floats(0, strict=True)),
+    current_scale=_table((RAIL_ORDER,), _floats(0, strict=True)),
+    adc_bits=st.integers(min_value=8, max_value=24),
+    adc_full_scale=_floats(0, strict=True),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(REPORTS | CALIBRATIONS)
+def test_report_and_calibration_json_round_trip(value):
+    wire = json.loads(json.dumps(to_wire(value)))
+    assert decode(type(value), wire, "", PowerTraceError) == value
 
 
 @st.composite
