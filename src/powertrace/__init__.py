@@ -18,8 +18,8 @@ _EXPORTS = {
                      "ComparisonError", "ManifestError", "MarkerDetectionError",
                      "PowerComputationError", "PowerTraceError", "ScenarioConfigError",
                      "SegmentationError", "TimingError"), "errors"),
-    **dict.fromkeys(("CalibrationConfig", "capture_paths", "manifest_path_for", "quantize",
-                     "read_capture", "write_capture"), "ingest"),
+    **dict.fromkeys(("CalibrationConfig", "Manifest", "ScheduleEntry", "capture_paths",
+                     "manifest_path_for", "quantize", "read_capture", "write_capture"), "ingest"),
     **dict.fromkeys(("DEFAULT_SAMPLE_PERIOD_S", "RAIL_NOMINAL_VOLTAGE", "RAIL_ORDER", "CaptureRun",
                      "EventKind", "MachineState", "PowerSeries", "RailKind", "RailTrace",
                      "RunSchedule"), "model"),

@@ -35,9 +35,7 @@ from .model import (
     RailKind,
     RunSchedule,
     decode,
-    from_wire,
     to_wire,
-    wire_scalar,
 )
 from .report import _open_output, _output_error, write_text_output
 
@@ -110,6 +108,50 @@ class CalibrationConfig:
         return np.array([scales[rail] for rail in RAIL_ORDER for scales in pairs])
 
 
+@dataclass(frozen=True)
+class ScheduleEntry:
+    """One (state, event) entry of a manifest's schedule."""
+
+    state: MachineState
+    event: EventKind
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A capture's manifest JSON: its labels, schedule, units and calibration.
+
+    units says whether the sample file holds engineering units or raw
+    ADC volts awaiting the calibration scales.
+    """
+
+    run_id: str
+    rootkit_label: str
+    dataset_index: int
+    sample_period_s: float
+    units: str
+    schedule: tuple[ScheduleEntry, ...]
+    expected_marker_count: int
+    calibration: CalibrationConfig
+
+    def __post_init__(self):
+        if self.units not in ("engineering", "raw"):
+            raise ValueError(f"units must be 'engineering' or 'raw', got {self.units!r}")
+        if not self.sample_period_s > 0:
+            raise ValueError(f"sample_period_s must be positive, got {self.sample_period_s}")
+        if self.expected_marker_count != 2 * len(self.schedule):
+            raise ValueError(f"expected_marker_count {self.expected_marker_count} != "
+                             f"2 x {len(self.schedule)} schedule entries")
+        # The comparisons key segments by (state, event), so a repeated entry
+        # would silently keep only its last segment.
+        first: dict[ScheduleEntry, int] = {}
+        for i, entry in enumerate(self.schedule):
+            if first.setdefault(entry, i) != i:
+                raise ValueError(
+                    f"schedule entries {first[entry]} and {i} repeat "
+                    f"({entry.state.wire_name}, {entry.event.wire_name})"
+                )
+
+
 def _quantize_array(raw: np.ndarray, lsb: float) -> np.ndarray:
     # Nearest lattice level, ties away from zero (0.5 offset before floor).
     return np.sign(raw) * np.floor(np.abs(raw) / lsb + 0.5) * lsb
@@ -156,38 +198,6 @@ def manifest_path_for(sample_file: str | Path) -> Path:
     """Manifest path next to a sample CSV, by naming convention."""
     p = Path(sample_file)
     return p.with_name(p.stem + ".manifest.json")
-
-
-def _require_object(value, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ManifestError(f"{context}: expected a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _manifest_error(context: str):
-    """A ManifestError factory whose messages start with *context*."""
-    return lambda message: ManifestError(f"{context}: {message}")
-
-
-def _schedule_from_json(entries: list) -> RunSchedule:
-    if not isinstance(entries, list):
-        raise ManifestError(f"manifest schedule: expected a list, got {type(entries).__name__}")
-    parsed = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "state" not in entry or "event" not in entry:
-            raise ManifestError(f"schedule entry {i} must be an object with 'state' and 'event'")
-        error = _manifest_error(f"schedule entry {i}")
-        parsed.append((from_wire(MachineState, entry["state"], "state", error),
-                       from_wire(EventKind, entry["event"], "event", error)))
-        # The comparisons key segments by (state, event), so a repeated entry
-        # would silently keep only its last segment.
-        if parsed[-1] in parsed[:-1]:
-            state, event = parsed[-1]
-            raise ManifestError(
-                f"schedule entries {parsed.index(parsed[-1])} and {i} repeat "
-                f"({state.wire_name}, {event.wire_name})"
-            )
-    return RunSchedule(entries=tuple(parsed))
 
 
 def _format_cells(values: np.ndarray) -> list[str]:
@@ -290,9 +300,9 @@ def write_capture(
     quantized as write_series_csv formats it, so no full quantized copy of
     the table is built. Returns the two paths.
     """
-    if units not in ("engineering", "raw"):
-        raise ValueError(f"units must be 'engineering' or 'raw', got {units!r}")
-
+    entries = tuple(ScheduleEntry(state, event) for state, event in run.schedule.entries)
+    manifest = Manifest(run.run_id, run.rootkit_label, run.dataset_index, run.sample_period,
+                        units, entries, run.schedule.expected_marker_count, cal)
     columns = []
     for j, scale in enumerate(cal.column_scales):
         column = run.samples[:, j]
@@ -304,20 +314,7 @@ def write_capture(
     sample_path, manifest_path = capture_paths(out_dir, run.run_id)
     write_series_csv(run.sample_period, [(sample_path, SAMPLE_HEADER, columns)])
 
-    manifest = {
-        "run_id": run.run_id,
-        "rootkit_label": run.rootkit_label,
-        "dataset_index": run.dataset_index,
-        "sample_period_s": run.sample_period,
-        "units": units,
-        "schedule": [
-            {"state": state.wire_name, "event": event.wire_name}
-            for state, event in run.schedule.entries
-        ],
-        "expected_marker_count": run.schedule.expected_marker_count,
-        "calibration": to_wire(cal),
-    }
-    write_text_output(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text_output(manifest_path, json.dumps(to_wire(manifest), indent=2, sort_keys=True) + "\n")
     return sample_path, manifest_path
 
 
@@ -436,57 +433,23 @@ def read_capture(sample_file: str | Path, manifest_file: str | Path) -> CaptureR
     """
     manifest_file = Path(manifest_file)
     try:
-        manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+        obj = json.loads(manifest_file.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ManifestError(f"cannot read manifest {manifest_file}: {reason}") from None
     except (ValueError, RecursionError) as exc:  # also nesting or int digits past a limit
         raise ManifestError(f"manifest {manifest_file} is not valid JSON: {exc}") from None
-    _require_object(manifest, "manifest")
-
-    required = (
-        "run_id",
-        "rootkit_label",
-        "dataset_index",
-        "sample_period_s",
-        "units",
-        "schedule",
-        "expected_marker_count",
-        "calibration",
-    )
-    for key in required:
-        if key not in manifest:
-            raise ManifestError(f"manifest missing key '{key}'")
-
-    units = manifest["units"]
-    if units not in ("engineering", "raw"):
-        raise ManifestError(f"units must be 'engineering' or 'raw', got '{units}'")
-    cal = decode(CalibrationConfig, manifest["calibration"], "manifest.calibration", ManifestError)
-    schedule = _schedule_from_json(manifest["schedule"])
-    marker_count = wire_scalar(
-        int, manifest["expected_marker_count"], "manifest expected_marker_count", ManifestError
-    )
-    if marker_count != schedule.expected_marker_count:
-        raise ManifestError(
-            f"expected_marker_count {marker_count} != "
-            f"2 x {len(schedule.entries)} schedule entries"
-        )
-    sample_period = wire_scalar(
-        float, manifest["sample_period_s"], "manifest sample_period_s", ManifestError
-    )
-    if not sample_period > 0:
-        raise ManifestError(f"sample_period_s must be positive, got {sample_period}")
-    labels = {
-        key: wire_scalar(kind, manifest[key], f"manifest {key}", ManifestError)
-        for key, kind in (("run_id", str), ("rootkit_label", str), ("dataset_index", int))
-    }
+    manifest = decode(Manifest, obj, "manifest", ManifestError)
+    period = manifest.sample_period_s
+    schedule = RunSchedule(tuple((entry.state, entry.event) for entry in manifest.schedule))
 
     data = _parse_sample_file(Path(sample_file))
-    _check_timestamps(data[:, 0], sample_period)
-    samples = data[:, 1:] if units == "engineering" else data[:, 1:] * cal.column_scales
+    _check_timestamps(data[:, 0], period)
+    samples = data[:, 1:]
+    if manifest.units == "raw":
+        samples = samples * manifest.calibration.column_scales
     try:
-        return CaptureRun(
-            **labels, samples=samples, sample_period=sample_period, schedule=schedule
-        )
+        return CaptureRun(manifest.run_id, manifest.rootkit_label, manifest.dataset_index,
+                          samples, period, schedule)
     except ValueError as exc:
         raise ManifestError(f"capture fails validation: {exc}") from None

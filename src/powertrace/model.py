@@ -80,14 +80,14 @@ class EventKind(Enum):
 
 
 def to_wire(value):
-    """JSON-ready copy of a dataclass, dict or list; enums become wire names."""
+    """JSON-ready copy of a dataclass, dict, list or tuple; enums become wire names."""
     if isinstance(value, Enum):
         return getattr(value, "wire_name", value.value)
     if is_dataclass(value):
         return {f.name: to_wire(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {to_wire(k): to_wire(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [to_wire(v) for v in value]
     return value
 
@@ -129,10 +129,11 @@ def decode(hint, obj, context: str, error: Callable[[str], Exception]):
     """*obj*, decoded from JSON, as a *hint*; else raises *error* naming the path.
 
     A dataclass is an object holding every init field and nothing else,
-    a dict[Enum, V] table an object keyed by every member's wire name, an
-    enum a wire name, and int, float, bool and str are read by
-    wire_scalar; X | None also takes null. Paths run from *context* in
-    the form a.b[c]; a dataclass whose own checks fail names its path.
+    a dict[Enum, V] table an object keyed by every member's wire name, a
+    tuple[X, ...] a list, an enum a wire name, and int, float, bool and
+    str are read by wire_scalar; X | None also takes null. Paths run from
+    *context* in the form a.b[c]; a dataclass whose own checks fail names
+    its path.
     """
     return _reader(hint)(obj, context, error)
 
@@ -173,6 +174,12 @@ def _object_reader(plan: tuple, sep: str, build: Callable) -> Callable:
     return read
 
 
+def _read_list(read_item: Callable, obj, context, error) -> tuple:
+    if not isinstance(obj, list):  # not any iterable: a string is one too
+        raise error(_at(context, f"expected a JSON list, got {type(obj).__name__}"))
+    return tuple(read_item(item, f"{context}[{i}]", error) for i, item in enumerate(obj))
+
+
 @functools.cache
 def _reader(hint) -> Callable:
     """One (obj, context, error) -> value reader per hint, built once."""
@@ -185,6 +192,8 @@ def _reader(hint) -> Callable:
         members, read_value = _members_by_wire(args[0]), _reader(args[1])
         plan = tuple((name, f"[{name}]", read_value) for name in members)
         return _object_reader(plan, "", lambda *values: dict(zip(members.values(), values)))
+    if typing.get_origin(hint) is tuple and args[1:] == (Ellipsis,):
+        return functools.partial(_read_list, _reader(args[0]))
     if type(None) in args:
         (inner,) = (_reader(arg) for arg in args if arg is not type(None))
         return lambda obj, context, error: None if obj is None else inner(obj, context, error)

@@ -409,15 +409,11 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect 
                     ScenarioConfigError)
     if "dataset_infections" not in obj:
         return config, None
-    raw = obj["dataset_infections"]
-    if not isinstance(raw, list):
-        raise ScenarioConfigError("scenario.dataset_infections must be a list")
-    return config, [
-        None if entry is None
-        else decode(InfectionEffect, _merged(to_wire(InfectionEffect()), entry),
-                    f"scenario.dataset_infections[{i}]", ScenarioConfigError)
-        for i, entry in enumerate(raw)
-    ]
+    infections = obj["dataset_infections"]
+    if isinstance(infections, list):  # anything else is refused by decode
+        infections = [_merged(to_wire(InfectionEffect()), entry) for entry in infections]
+    return config, list(decode(tuple[InfectionEffect | None, ...], infections,
+                               "scenario.dataset_infections", ScenarioConfigError))
 
 
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig, list[InfectionEffect | None] | None]:

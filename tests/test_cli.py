@@ -384,7 +384,10 @@ def _edited_capture(workdir, tmp_path, **fields):
 def test_bad_manifest_scalar_fails_cleanly(workdir, tmp_path, capsys, key, value):
     sample = _edited_capture(workdir, tmp_path, **{key: value})
     assert main(["analyze", str(sample), "--out", str(tmp_path)]) == 1
-    assert f"manifest {key}: expected" in _one_error_line(capsys)
+    kind = {"run_id": "str", "sample_period_s": "float"}.get(key, "int")
+    assert _one_error_line(capsys) == (
+        f"powertrace: {sample}: manifest.{key}: expected {kind}, got {value!r}"
+    )
 
 
 _PRE_IDLE = {"state": "pre_infection", "event": "idle"}
@@ -422,7 +425,8 @@ def test_compare_refuses_a_schedule_that_repeats_an_entry(workdir, tmp_path, cap
     out = tmp_path / "out"
     assert main(["compare", "--pre", str(sample), "--out", str(out), "--max-lag", "0.05"]) == 1
     assert _one_error_line(capsys) == (
-        f"powertrace: {sample}: schedule entries 6 and 7 repeat (post_infection_reboot, idle)"
+        f"powertrace: {sample}: manifest: schedule entries 6 and 7 repeat "
+        "(post_infection_reboot, idle)"
     )
     assert not out.exists()
 
@@ -541,27 +545,36 @@ def test_report_decoding_makes_no_per_report_wire_scan(compared):
          "manifest.calibration: unknown keys ['adc_bitz']"),
         ("scenario", lambda scenario: scenario.update(sed=scenario.pop("seed")),
          "scenario must set 'seed'"),
+        ("manifest", lambda manifest: manifest.update(extra_key=1),
+         "manifest: unknown keys ['extra_key']"),
+        ("manifest", lambda manifest: manifest["schedule"][0].update(note="x"),
+         "manifest.schedule[0]: unknown keys ['note']"),
+        ("manifest", lambda manifest: manifest["schedule"][0].pop("event"),
+         "manifest.schedule[0]: missing keys ['event']"),
+        ("manifest", lambda manifest: manifest.update(schedule="boot"),
+         "manifest.schedule: expected a JSON list, got str"),
     ],
     ids=["report_missing", "report_unknown", "calibration_missing", "calibration_unknown",
-         "scenario_seed"],
+         "scenario_seed", "manifest_unknown", "schedule_entry_unknown", "schedule_entry_missing",
+         "schedule_not_a_list"],
 )
 def test_an_incomplete_or_misspelled_input_is_refused_naming_the_key(
     workdir, compared, tmp_path, capsys, document, edit, message
 ):
-    # A report or a manifest calibration must be complete; a scenario is
-    # merged over the defaults but must set its seed. No input may carry a
-    # key that nothing reads.
+    # A report or a manifest must be complete; a scenario is merged over
+    # the defaults but must set its seed. No input may carry a key that
+    # nothing reads.
     out = str(tmp_path / "out")
     if document == "report":
         payload = json.loads((compared / f"{STEM}.comparison.json").read_text())
         edit(payload["reports"][0])
         path = tmp_path / "edited.comparison.json"
         argv = ["aggregate", str(path), "--out", out]
-    elif document == "calibration":
+    elif document in ("calibration", "manifest"):
         sample = _copy_capture(workdir.sample, tmp_path / "edited.csv")
         path = manifest_path_for(sample)
         payload = json.loads(path.read_text())
-        edit(payload["calibration"])
+        edit(payload["calibration"] if document == "calibration" else payload)
         argv = ["analyze", str(sample), "--out", out]
     else:
         payload = dict(SCENARIO)

@@ -16,6 +16,7 @@ from powertrace import (
     AdcRangeError,
     CalibrationConfig,
     CaptureFormatError,
+    Manifest,
     ManifestError,
     RAIL_ORDER,
     RailKind,
@@ -31,6 +32,8 @@ from powertrace import (
 )
 from powertrace.cli import _plot_tables
 from powertrace.ingest import SAMPLE_HEADER
+from powertrace.model import decode, to_wire
+from test_golden import GOLDEN_DIR
 
 CAL = CalibrationConfig()
 HALF_LSB = CAL.lsb / 2
@@ -274,7 +277,7 @@ def _mutate_manifest(manifest_path, mutate):
 def test_read_rejects_missing_manifest_key(tmp_path):
     sample_path, manifest_path = _written_pair(tmp_path)
     _mutate_manifest(manifest_path, lambda obj: obj.pop("schedule"))
-    with pytest.raises(ManifestError, match="schedule"):
+    with pytest.raises(ManifestError, match=re.escape("manifest: missing keys ['schedule']")):
         read_capture(sample_path, manifest_path)
 
 
@@ -297,7 +300,9 @@ def test_read_rejects_unknown_state(tmp_path):
         obj["schedule"][0]["state"] = "dormant"
 
     _mutate_manifest(manifest_path, mutate)
-    with pytest.raises(ManifestError, match="unknown state 'dormant'"):
+    message = ("unknown manifest.schedule[0].state 'dormant' "
+               "(choose from pre_infection, post_infection, post_infection_reboot)")
+    with pytest.raises(ManifestError, match=re.escape(message)):
         read_capture(sample_path, manifest_path)
 
 
@@ -318,7 +323,8 @@ def test_read_rejects_manifest_that_is_not_an_object(tmp_path):
 def test_read_rejects_schedule_that_is_not_a_list(tmp_path):
     sample_path, manifest_path = _written_pair(tmp_path)
     _mutate_manifest(manifest_path, lambda obj: obj.__setitem__("schedule", 5))
-    with pytest.raises(ManifestError, match="manifest schedule: expected a list, got int"):
+    message = "manifest.schedule: expected a JSON list, got int"
+    with pytest.raises(ManifestError, match=re.escape(message)):
         read_capture(sample_path, manifest_path)
 
 
@@ -345,6 +351,13 @@ def test_read_rejects_calibration_of_the_wrong_shape(tmp_path, key, value, messa
     _mutate_manifest(manifest_path, mutate)
     with pytest.raises(ManifestError, match=re.escape(message)):
         read_capture(sample_path, manifest_path)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.manifest.json")), ids=lambda p: p.name)
+def test_golden_manifest_decodes_and_encodes_to_its_bytes(path):
+    manifest = decode(Manifest, json.loads(path.read_bytes()), "manifest", ManifestError)
+    text = json.dumps(to_wire(manifest), indent=2, sort_keys=True) + "\n"
+    assert text.encode("ascii") == path.read_bytes()
 
 
 def test_read_rejects_bad_units(tmp_path):

@@ -18,11 +18,13 @@ from powertrace import (
     EventKind,
     InfectionEffect,
     MachineState,
+    Manifest,
     PowerTraceError,
     RAIL_ORDER,
     RailKind,
     ScenarioConfig,
     ScenarioConfigError,
+    ScheduleEntry,
     Verdict,
     classify_increment,
     compute_power,
@@ -400,9 +402,26 @@ CALIBRATIONS = _builds(
     adc_full_scale=_floats(0, strict=True),
 )
 
+SCHEDULES = st.lists(
+    _builds(ScheduleEntry, state=st.sampled_from(MachineState), event=st.sampled_from(EventKind)),
+    unique=True,
+    max_size=len(MachineState) * len(EventKind),
+).map(tuple)
+MANIFESTS = SCHEDULES.flatmap(lambda schedule: _builds(
+    Manifest,
+    run_id=st.text(),
+    rootkit_label=st.text(),
+    dataset_index=st.integers(),
+    sample_period_s=_floats(0, strict=True),
+    units=st.sampled_from(["engineering", "raw"]),
+    schedule=st.just(schedule),
+    expected_marker_count=st.just(2 * len(schedule)),
+    calibration=CALIBRATIONS,
+))
+
 
 @settings(max_examples=100, deadline=None)
-@given(REPORTS | CALIBRATIONS)
+@given(REPORTS | CALIBRATIONS | MANIFESTS)
 def test_report_and_calibration_json_round_trip(value):
     wire = json.loads(json.dumps(to_wire(value)))
     assert decode(type(value), wire, "", PowerTraceError) == value
