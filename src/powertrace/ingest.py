@@ -22,7 +22,6 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 
@@ -201,7 +200,8 @@ def manifest_path_for(sample_file: str | Path) -> Path:
 
 
 def _format_cells(values: np.ndarray) -> list[str]:
-    """``repr`` of each float in *values*, formatting each distinct value once.
+    """A comma, then ``repr``, for each float in *values*, formatting each
+    distinct value once.
 
     repr depends only on a float's bits, so the distinct int64 bit patterns
     are formatted and gathered back through the inverse index. Taking the
@@ -217,34 +217,129 @@ def _format_cells(values: np.ndarray) -> list[str]:
     first[inverse[::-1]] = np.arange(len(inverse) - 1, -1, -1)
     order = np.argsort(first)
     text = np.empty(len(bits), dtype=object)
-    text[order] = np.array([repr(x) for x in bits[order].view(np.float64).tolist()], dtype=object)
+    text[order] = np.array([f",{x!r}" for x in bits[order].view(np.float64).tolist()], dtype=object)
     return text[inverse].tolist()
 
 
-class _Column(Protocol):
-    """A column write_series_csv can write: its length, and each slice of
-    its rows as a float array."""
+# Below 2**40 a product y = k * period * 1e6 is off the exact k * period *
+# 10**6 by at most half its ulp, 2**-14, so rint(y) rounds the exact value
+# the same way unless y lies within _TIE_MARGIN of a tie.
+_MICROS_LIMIT = 2.0**40
+_TIE_MARGIN = 1e-3
+# "000" to "999", each as its three code points in one 12-byte item; and
+# the counts of seconds at which one more digit begins.
+_DIGITS3 = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10
+            + ord("0")).astype(np.uint32).view("V12").ravel()
+_DECADES = 10 ** np.arange(1, 7)
 
-    def __len__(self) -> int: ...
 
-    def __getitem__(self, rows: slice) -> np.ndarray: ...
+def _time_cells(sample_period: float, lo: int, hi: int) -> list[str]:
+    """``f"{k * sample_period:.6f}"`` for each k in range(lo, hi), built with numpy.
+
+    Each row's count of microseconds is rint(k * sample_period * 1e6),
+    written as code points: seven digits of seconds, the point and six
+    decimals, then cut past the leading zeros of the seconds, whose digit
+    count never falls as k grows. Rows within _TIE_MARGIN of a rounding
+    tie go back to the f-string, and so does a block holding a negative
+    time or reaching _MICROS_LIMIT, so the text is the f-string's by
+    construction.
+    """
+    micros = np.arange(lo, hi, dtype=np.float64) * sample_period * 1e6
+    if not (len(micros) and 0 <= micros.min() and micros.max() < _MICROS_LIMIT):
+        return [f"{k * sample_period:.6f}" for k in range(lo, hi)]
+    counts = np.rint(micros)
+    ties = np.flatnonzero(np.abs(micros - counts) > 0.5 - _TIE_MARGIN)
+    seconds, decimals = np.divmod(counts.astype(np.int64), 1_000_000)
+    points = np.empty((len(micros), 14), dtype=np.uint32)
+    points[:, 0] = seconds // 1_000_000 + ord("0")
+    points[:, 7] = ord(".")
+    for column, triples in ((1, seconds // 1000 % 1000), (4, seconds % 1000),
+                            (8, decimals // 1000), (11, decimals % 1000)):
+        points[:, column:column + 3].view("V12")[:, 0] = _DIGITS3[triples]
+    # starts[d] is the first row whose seconds have more than d digits.
+    starts = [0, *np.searchsorted(seconds, _DECADES).tolist(), len(micros)]
+    text = []
+    for digits in range(1, 8):
+        rows = points[starts[digits - 1]:starts[digits], 7 - digits:]
+        text += np.ascontiguousarray(rows).view(f"U{digits + 7}").ravel().tolist()
+    for i in ties.tolist():
+        text[i] = f"{(lo + i) * sample_period:.6f}"
+    return text
+
+
+@dataclass
+class _QuantizedColumn:
+    """A sample table column as its CSV holds it, one slice of rows at a
+    time: converted to raw ADC volts, quantized and, in engineering units,
+    scaled back.
+
+    The text of each ADC level once formatted is kept for the next blocks
+    of the same write, up to _WRITE_ROWS levels; a full table is cleared,
+    so its memory stays that of one block's cells.
+    """
+
+    values: np.ndarray
+    scale: float
+    lsb: float
+    engineering: bool
+    _text: dict[int, str] = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def cells(self, rows: slice) -> list[str]:
+        """A comma, then ``repr``, for each quantized value in *rows*."""
+        quantized = _quantize_array(self.values[rows] / self.scale, self.lsb)
+        if self.engineering:
+            quantized *= self.scale
+        # Keyed by bits, like _format_cells, so that -0.0 keeps its own text.
+        bits, inverse = np.unique(quantized.view(np.int64), return_inverse=True)
+        levels = bits.tolist()
+        known = self._text
+        new = [level for level in levels if level not in known]
+        if len(known) + len(new) > _WRITE_ROWS:
+            known.clear()
+            new = levels
+        values = np.array(new, dtype=np.int64).view(np.float64).tolist()
+        known.update(zip(new, [f",{x!r}" for x in values]))
+        text = np.array(list(map(known.__getitem__, levels)), dtype=object)
+        return text[inverse].tolist()
+
+
+# Rows per join when writing a block: a smaller string to hold at a time.
+_JOIN_ROWS = 2048
+
+
+def _write_rows(fh, columns: list[list[str]]) -> None:
+    """Write equal-length columns of cells as CSV lines: each _JOIN_ROWS
+    rows are one join over their cells and line feeds, without a string
+    per row. Every column but the first carries its commas."""
+    width = len(columns) + 1
+    for lo in range(0, len(columns[0]), _JOIN_ROWS):
+        hi = min(lo + _JOIN_ROWS, len(columns[0]))
+        pieces = ["\n"] * (width * (hi - lo))
+        for j, column in enumerate(columns):
+            pieces[j::width] = column[lo:hi]
+        fh.write("".join(pieces))
 
 
 def write_series_csv(
-    sample_period: float, tables: Sequence[tuple[Path, str, Sequence[_Column]]]
+    sample_period: float, tables: Sequence[tuple[Path, str, Sequence[np.ndarray | _QuantizedColumn]]]
 ) -> None:
     """Write each ``(path, header, columns)`` table as a CSV file: *header*,
     then one row per sample, ``k * sample_period`` as ``.6f`` followed by
     ``repr`` of each column's float.
 
-    A column is any _Column: an array, or write_capture's _QuantizedColumn.
-    Cells are formatted column-wise in blocks of _WRITE_ROWS rows, so
-    memory stays bounded by one block whatever the capture's length, and
-    the tables of one call share each block's time column. Within a block
-    each distinct value of a column is formatted once (_format_cells); a
-    quantized capture column holds only a few hundred to a few thousand
-    ADC levels, and each cell's text is still its repr. An OSError ends in
-    a one-line error naming the file being written.
+    A column is an array, or write_capture's _QuantizedColumn. Cells are
+    formatted column-wise in blocks of _WRITE_ROWS rows, so memory stays
+    bounded by one block whatever the capture's length, and the tables of
+    one call share each block's time column, built with numpy
+    (_time_cells). Within a block each distinct value of an array column is
+    formatted once (_format_cells). A quantized capture column holds only a
+    few hundred to a few thousand ADC levels, and keeps each level's text
+    for the later blocks of the write, up to _WRITE_ROWS levels. Each
+    cell's text is still its repr. An OSError ends in a one-line error
+    naming the file being written.
     """
     n = len(tables[0][2][0])
     handles = []
@@ -254,10 +349,11 @@ def write_series_csv(
             handles[-1].write(header + "\n")
         for lo in range(0, n, _WRITE_ROWS):
             hi = min(lo + _WRITE_ROWS, n)
-            times = [f"{k * sample_period:.6f}" for k in range(lo, hi)]
+            times = _time_cells(sample_period, lo, hi)
             for fh, (path, _, columns) in zip(handles, tables):
-                cells = [times, *(_format_cells(col[lo:hi]) for col in columns)]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                cells = [col.cells(slice(lo, hi)) if isinstance(col, _QuantizedColumn)
+                         else _format_cells(col[lo:hi]) for col in columns]
+                _write_rows(fh, [times, *cells])
         for fh, (path, _, _) in zip(handles, tables):
             fh.close()
     except OSError as exc:
@@ -266,25 +362,6 @@ def write_series_csv(
         for fh in handles:
             with contextlib.suppress(OSError):  # already failing on another file
                 fh.close()
-
-
-@dataclass(frozen=True)
-class _QuantizedColumn:
-    """A sample table column as its CSV holds it, one slice of rows at a
-    time: converted to raw ADC volts, quantized and, in engineering units,
-    scaled back."""
-
-    values: np.ndarray
-    scale: float
-    lsb: float
-    engineering: bool
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        quantized = _quantize_array(self.values[rows] / self.scale, self.lsb)
-        return quantized * self.scale if self.engineering else quantized
 
 
 def write_capture(
@@ -451,5 +528,5 @@ def read_capture(sample_file: str | Path, manifest_file: str | Path) -> CaptureR
     try:
         return CaptureRun(manifest.run_id, manifest.rootkit_label, manifest.dataset_index,
                           samples, period, schedule)
-    except ValueError as exc:
-        raise ManifestError(f"capture fails validation: {exc}") from None
+    except ValueError as exc:  # the parsed table has a valid shape: the manifest is at fault
+        raise ManifestError(f"manifest: {exc}") from None

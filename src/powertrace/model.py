@@ -198,7 +198,15 @@ def _reader(hint) -> Callable:
         (inner,) = (_reader(arg) for arg in args if arg is not type(None))
         return lambda obj, context, error: None if obj is None else inner(obj, context, error)
     if isinstance(hint, type) and issubclass(hint, Enum):
-        return functools.partial(from_wire, hint)
+        members = _members_by_wire(hint)
+
+        def read_enum(obj, context, error):
+            try:
+                return members[obj]
+            except (KeyError, TypeError):  # from_wire words the error
+                return from_wire(hint, obj, "name", lambda message: error(_at(context, message)))
+
+        return read_enum
     if hint in (int, float, bool, str):
         return functools.partial(wire_scalar, hint)
     raise TypeError(f"cannot decode {hint!r}")

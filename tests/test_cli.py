@@ -409,7 +409,7 @@ def test_manifest_breaking_a_run_invariant_fails_in_one_line(
     sample = _edited_capture(workdir, tmp_path, **fields)
     assert main(["analyze", str(sample), "--out", str(tmp_path)]) == 1
     assert _one_error_line(capsys) == (
-        f"powertrace: {sample}: capture fails validation: {message}"
+        f"powertrace: {sample}: manifest: {message}"
     )
 
 
@@ -498,14 +498,23 @@ def test_aggregate_rejects_an_inexact_report_scalar(compared, tmp_path, capsys, 
     assert f"{path}: malformed comparison report ({key}: expected " in _one_error_line(capsys)
 
 
+_WIRE_NAMES = {
+    "kind": "boot_pre_vs_reboot_post, idle_pre_vs_idle_post, idle_pre_vs_idle_post_reboot, "
+            "ie_pre_vs_ie_post, ie_pre_vs_ie_post_reboot",
+    "rail": "3v3, 5v, 12v_mb, 12v_cpu",
+    "verdict": "increment, no_increment",
+}
+
+
 @pytest.mark.parametrize("key", ["kind", "rail", "verdict"])
 @pytest.mark.parametrize("token", ['"3V3"', "null", '["x"]'], ids=["3V3", "null", "list"])
 def test_aggregate_rejects_an_unknown_report_name(compared, tmp_path, capsys, key, token):
     path = _report_with(compared, tmp_path, key, token)
     assert main(["aggregate", str(path), "--out", str(tmp_path)]) == 1
     value = repr(json.loads(token))
-    assert f"{path}: malformed comparison report (unknown {key} {value} (choose from " in (
-        _one_error_line(capsys)
+    assert _one_error_line(capsys) == (
+        f"powertrace: {path}: malformed comparison report "
+        f"({key}: unknown name {value} (choose from {_WIRE_NAMES[key]}))"
     )
 
 
