@@ -25,8 +25,8 @@ _EXPORTS = {
                      "RunSchedule"), "model"),
     **dict.fromkeys(("compute_power", "window_sample_count", "windowed_means"), "power"),
     **dict.fromkeys(("AggregateCell", "AggregateReport", "CellResult", "CompareParams",
-                     "ComparisonKind", "ComparisonReport", "LagResult", "MarkerParams", "Verdict",
-                     "aggregate"), "report"),
+                     "ComparisonFile", "ComparisonKind", "ComparisonReport", "LagResult",
+                     "MarkerParams", "Verdict", "aggregate"), "report"),
     **dict.fromkeys(("EventSegment", "Marker", "detect_markers", "segment_events",
                      "smooth_series"), "segment"),
     **dict.fromkeys(("GroundTruth", "InfectionEffect", "ScenarioConfig", "generate_ensemble",

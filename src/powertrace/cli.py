@@ -17,16 +17,20 @@ import importlib
 import json
 import os
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import AggregationError, ComparisonError, PowerTraceError
-from .model import RAIL_ORDER, MachineState, RailKind, decode, from_wire, to_wire
-from .report import CompareParams, ComparisonReport, MarkerParams, aggregate, write_text_output
+from .model import RAIL_ORDER, MachineState, RailKind, decode, from_wire, read_json, to_wire
+from .report import (CompareParams, ComparisonFile, ComparisonReport, MarkerParams, aggregate,
+                     write_text_output)
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .compare import SegmentPool
     from .model import CaptureRun, PowerSeries
 
@@ -331,7 +335,7 @@ class _PlotWriter:
         return PowerTraceError(f"{capture}: a plot-writing worker process ended abruptly")
 
 
-def _aggregate_payload(dataset_reports: list[list[ComparisonReport]]) -> dict:
+def _aggregate_payload(dataset_reports: list[Sequence[ComparisonReport]]) -> dict:
     agg = aggregate(dataset_reports)
     return {
         "n_datasets": len(dataset_reports),
@@ -444,8 +448,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     every_capture = (*pre_paths, *post_paths, *reboot_paths)
     _refuse_shared_outputs([*zip(datasets, report_paths), (every_capture, agg_path)])
 
-    dataset_reports: list[list[ComparisonReport]] = []
-    report_payloads: list[tuple[Path, dict]] = []
+    comparisons: list[ComparisonFile] = []
     for dataset, report_path in zip(datasets, report_paths):
         # A capture given for several roles is read, analyzed and pooled once.
         analyzed = {path: _analyze(path, marker_params) for path in dict.fromkeys(dataset)}
@@ -471,62 +474,41 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                         ("--post-reboot", args.post_reboot and reboot_path))
             named = ", ".join(f"{flag} {path}" for flag, path in captures if path)
             raise ComparisonError(f"{named}: {exc}") from None
-        dataset_reports.append(reports)
+        comparisons.append(ComparisonFile(pre.run_id, post.run_id, post.dataset_index,
+                                          compare_params, tuple(reports)))
 
-        payload = {
-            "pre_run_id": pre.run_id,
-            "post_run_id": post.run_id,
-            "dataset_index": post.dataset_index,
-            "params": to_wire(compare_params),
-            "reports": to_wire(reports),
-        }
-        report_payloads.append((report_path, payload))
-
-    for report_path, payload in report_payloads:
-        _write_json(report_path, payload, stamp=args.stamp)
+    for report_path, comparison in zip(report_paths, comparisons):
+        _write_json(report_path, to_wire(comparison), stamp=args.stamp)
         _note(f"wrote {report_path}")
 
-    _write_json(agg_path, _aggregate_payload(dataset_reports), stamp=args.stamp)
+    payload = _aggregate_payload([comparison.reports for comparison in comparisons])
+    _write_json(agg_path, payload, stamp=args.stamp)
     _note(f"wrote {agg_path}")
     return 0
-
-
-def _first_difference(first: object, other: object) -> str:
-    """The first key, in sorted order, on which two files' params differ."""
-    if not (isinstance(first, dict) and isinstance(other, dict)):
-        return "params"
-    both = first.keys() & other.keys()
-    return min(k for k in first.keys() | other.keys() if k not in both or first[k] != other[k])
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     out_dir = _output_dir(args.out)
     paths = [Path(report_file) for report_file in args.reports]
-    dataset_reports: list[list[ComparisonReport]] = []
-    first_params = None
-    for d, path in enumerate(paths):
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad bytes or JSON
-            return _fail(f"cannot read comparison report {path}: {exc}")
-        if not isinstance(obj, dict) or not isinstance(obj.get("reports"), list):
-            return _fail(f"{path}: missing 'reports' list")
-        if not obj["reports"]:
-            return _fail(f"{path}: empty 'reports' list")
-        if d == 0:
-            first_params = obj.get("params")
-        elif obj.get("params") != first_params:
-            key = _first_difference(first_params, obj.get("params"))
-            return _fail(f"{path}: params differ from those of {paths[0]}, first at '{key}'")
+    comparisons: list[ComparisonFile] = []
+    for path in paths:
+        obj = read_json(path, "comparison report", PowerTraceError)
+        if isinstance(obj, dict):
+            obj.pop("generated_at", None)  # the time --stamp adds
 
         def malformed(message: str) -> PowerTraceError:
             return PowerTraceError(f"{path}: malformed comparison report ({message})")
 
-        dataset_reports.append(
-            [decode(ComparisonReport, entry, "", malformed) for entry in obj["reports"]]
-        )
+        comparison = decode(ComparisonFile, obj, "", malformed)
+        first = comparisons[0].params if comparisons else comparison.params
+        if comparison.params != first:
+            key = min(f.name for f in fields(first)
+                      if getattr(first, f.name) != getattr(comparison.params, f.name))
+            raise PowerTraceError(
+                f"{path}: params differ from those of {paths[0]}, first at '{key}'")
+        comparisons.append(comparison)
     try:
-        payload = _aggregate_payload(dataset_reports)
+        payload = _aggregate_payload([comparison.reports for comparison in comparisons])
     except AggregationError as exc:
         if exc.dataset is None:
             raise

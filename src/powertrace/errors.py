@@ -34,10 +34,6 @@ class MarkerDetectionError(PowerTraceError):
 class SegmentationError(PowerTraceError):
     """Marker count or pairing does not match the run schedule."""
 
-    def __init__(self, message: str, found_count: int | None = None):
-        super().__init__(message)
-        self.found_count = found_count
-
 
 class AlignmentError(PowerTraceError):
     """Segment pair cannot be aligned (empty input)."""

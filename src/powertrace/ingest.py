@@ -34,6 +34,7 @@ from .model import (
     RailKind,
     RunSchedule,
     decode,
+    read_json,
     to_wire,
 )
 from .report import _open_output, _output_error, write_text_output
@@ -209,15 +210,7 @@ def _format_cells(values: np.ndarray) -> list[str]:
     """
     values = np.asarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    # Format the distinct values in the order of their first row, so the
-    # strings lie in memory in about row order: in sorted order, the row join
-    # reads them scattered and takes about twice as long on mostly distinct
-    # columns. Which row wins a repeated index here affects speed only.
-    first = np.empty(len(bits), dtype=np.intp)
-    first[inverse[::-1]] = np.arange(len(inverse) - 1, -1, -1)
-    order = np.argsort(first)
-    text = np.empty(len(bits), dtype=object)
-    text[order] = np.array([f",{x!r}" for x in bits[order].view(np.float64).tolist()], dtype=object)
+    text = np.array([f",{x!r}" for x in bits.view(np.float64).tolist()], dtype=object)
     return text[inverse].tolist()
 
 
@@ -508,14 +501,7 @@ def read_capture(sample_file: str | Path, manifest_file: str | Path) -> CaptureR
     period at any step). A sample file error does not name the file, which
     the caller knows; a manifest that cannot be read or decoded is named.
     """
-    manifest_file = Path(manifest_file)
-    try:
-        obj = json.loads(manifest_file.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ManifestError(f"cannot read manifest {manifest_file}: {reason}") from None
-    except (ValueError, RecursionError) as exc:  # also nesting or int digits past a limit
-        raise ManifestError(f"manifest {manifest_file} is not valid JSON: {exc}") from None
+    obj = read_json(manifest_file, "manifest", ManifestError)
     manifest = decode(Manifest, obj, "manifest", ManifestError)
     period = manifest.sample_period_s
     schedule = RunSchedule(tuple((entry.state, entry.event) for entry in manifest.schedule))

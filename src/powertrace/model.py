@@ -7,12 +7,14 @@ threads. A CaptureRun checks its invariants when it is built.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import sys
 import typing
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum, IntEnum
+from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -122,7 +124,14 @@ def wire_scalar(kind: type, value, context: str, error: type[Exception]):
             return float(value)
         if isinstance(value, kind) and (kind is not float or math.isfinite(value)):
             return value
-    raise error(f"{context}: expected {kind.__name__}, got {value!r}")
+    raise error(_at(context, f"expected {kind.__name__}, got {value!r}"))
+
+
+class _Refused(Exception):
+    """A value the decoder refuses. Each reader it passes on the way out puts
+    its step in front of path, so that only a refusal builds a path."""
+
+    path = ""
 
 
 def decode(hint, obj, context: str, error: Callable[[str], Exception]):
@@ -135,80 +144,105 @@ def decode(hint, obj, context: str, error: Callable[[str], Exception]):
     *context* in the form a.b[c]; a dataclass whose own checks fail names
     its path.
     """
-    return _reader(hint)(obj, context, error)
+    try:
+        return _reader(hint)(obj)
+    except _Refused as exc:  # a field of the root object has no leading dot
+        path = context + exc.path if context else exc.path.removeprefix(".")
+        raise error(_at(path, str(exc))) from None
+
+
+def read_json(path: str | Path, what: str, error: Callable[[str], Exception]):
+    """The JSON document in the file *path*, the *what* named in *error*'s message
+    when the file cannot be read as UTF-8 or does not hold valid JSON."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # UnicodeDecodeError has no strerror
+        raise error(f"cannot read {what} {path}: {reason}") from None
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also nesting or int digits past a limit
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def _at(context: str, message: str) -> str:
     return f"{context}: {message}" if context else message
 
 
-def _object_reader(plan: tuple, sep: str, build: Callable) -> Callable:
+def _object_reader(plan: tuple, build: Callable) -> Callable:
     """Reader of a JSON object that holds exactly the keys of *plan*.
 
-    *plan* holds a (key, path suffix, reader) triple per key; *build* is
-    called with the decoded values in plan order. A value's path is the
-    object's, then *sep*, then its suffix.
+    *plan* holds a (key, path step, reader) triple per key; *build* is
+    called with the decoded values in plan order.
     """
     keys = [key for key, _, _ in plan]
 
-    def read(obj, context, error):
+    def read(obj):
         if not isinstance(obj, dict):
-            raise error(_at(context, f"expected a JSON object, got {type(obj).__name__}"))
-        prefix = f"{context}{sep}" if context else ""
+            raise _Refused(f"expected a JSON object, got {type(obj).__name__}")
         values = []  # a loop: on Python 3.11 a comprehension costs a call per object
         try:
-            for key, suffix, read_value in plan:
-                values.append(read_value(obj[key], prefix + suffix, error))
+            for key, step, read_value in plan:
+                values.append(read_value(obj[key]))
         except KeyError:  # a key is missing
             values = None
+        except _Refused as exc:
+            exc.path = step + exc.path
+            raise
         if values is None or len(obj) != len(plan):
             missing = [key for key in keys if key not in obj]
             unknown = sorted(obj.keys() - set(keys))
-            problem = f"missing keys {missing}" if missing else f"unknown keys {unknown}"
-            raise error(_at(context, problem))
+            raise _Refused(f"missing keys {missing}" if missing else f"unknown keys {unknown}")
         try:
             return build(*values)
         except (ValueError, PowerTraceError) as exc:  # a dataclass's own checks
-            raise error(_at(context, str(exc))) from None
+            raise _Refused(str(exc)) from None
 
     return read
 
 
-def _read_list(read_item: Callable, obj, context, error) -> tuple:
+def _read_list(read_item: Callable, obj) -> tuple:
     if not isinstance(obj, list):  # not any iterable: a string is one too
-        raise error(_at(context, f"expected a JSON list, got {type(obj).__name__}"))
-    return tuple(read_item(item, f"{context}[{i}]", error) for i, item in enumerate(obj))
+        raise _Refused(f"expected a JSON list, got {type(obj).__name__}")
+    values = []
+    try:
+        for item in obj:
+            values.append(read_item(item))
+    except _Refused as exc:
+        exc.path = f"[{len(values)}]{exc.path}"  # the index of the refused item
+        raise
+    return tuple(values)
 
 
 @functools.cache
 def _reader(hint) -> Callable:
-    """One (obj, context, error) -> value reader per hint, built once."""
+    """One obj -> value reader per hint, built once; it raises _Refused."""
     if is_dataclass(hint):
         hints = typing.get_type_hints(hint)
-        plan = tuple((f.name, f.name, _reader(hints[f.name])) for f in fields(hint) if f.init)
-        return _object_reader(plan, ".", hint)
+        plan = tuple((f.name, f".{f.name}", _reader(hints[f.name])) for f in fields(hint) if f.init)
+        return _object_reader(plan, hint)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is dict:
         members, read_value = _members_by_wire(args[0]), _reader(args[1])
         plan = tuple((name, f"[{name}]", read_value) for name in members)
-        return _object_reader(plan, "", lambda *values: dict(zip(members.values(), values)))
+        return _object_reader(plan, lambda *values: dict(zip(members.values(), values)))
     if typing.get_origin(hint) is tuple and args[1:] == (Ellipsis,):
         return functools.partial(_read_list, _reader(args[0]))
     if type(None) in args:
         (inner,) = (_reader(arg) for arg in args if arg is not type(None))
-        return lambda obj, context, error: None if obj is None else inner(obj, context, error)
+        return lambda obj: None if obj is None else inner(obj)
     if isinstance(hint, type) and issubclass(hint, Enum):
         members = _members_by_wire(hint)
 
-        def read_enum(obj, context, error):
+        def read_enum(obj):
             try:
                 return members[obj]
             except (KeyError, TypeError):  # from_wire words the error
-                return from_wire(hint, obj, "name", lambda message: error(_at(context, message)))
+                return from_wire(hint, obj, "name", _Refused)
 
         return read_enum
     if hint in (int, float, bool, str):
-        return functools.partial(wire_scalar, hint)
+        return lambda obj: wire_scalar(hint, obj, "", _Refused)
     raise TypeError(f"cannot decode {hint!r}")
 
 

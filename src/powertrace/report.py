@@ -11,6 +11,7 @@ on first use.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -152,6 +153,23 @@ class ComparisonReport(CellResult):
 
 
 @dataclass(frozen=True)
+class ComparisonFile:
+    """One dataset's comparison file, as compare writes it and aggregate reads
+    it: the two runs compared, the params they were judged under and a
+    non-empty list of reports."""
+
+    pre_run_id: str
+    post_run_id: str
+    dataset_index: int
+    params: CompareParams
+    reports: tuple[ComparisonReport, ...]
+
+    def __post_init__(self):
+        if not self.reports:
+            raise ValueError("empty 'reports' list")
+
+
+@dataclass(frozen=True)
 class AggregateCell:
     """Increment tally for one (rail, kind) cell across datasets."""
 
@@ -180,7 +198,7 @@ class AggregateReport:
         raise KeyError((rail, kind))
 
 
-def aggregate(dataset_reports: list[list[ComparisonReport]]) -> AggregateReport:
+def aggregate(dataset_reports: Sequence[Sequence[ComparisonReport]]) -> AggregateReport:
     """Fold per-dataset comparison reports into increment fractions.
 
     Every dataset must cover the same (rail, kind) cells exactly once.
@@ -196,8 +214,6 @@ def aggregate(dataset_reports: list[list[ComparisonReport]]) -> AggregateReport:
         seen: set[tuple[int, int]] = set()
         for report in reports:
             rail, kind = report.rail, report.kind
-            if kind is None or rail is None:
-                raise AggregationError(f"dataset {d}: report without kind/rail labels", d)
             key = (id(rail), id(kind))
             if key in seen:
                 raise AggregationError(

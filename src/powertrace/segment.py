@@ -103,9 +103,8 @@ def detect_markers(
     Bursts shorter than min_duration or longer than max_duration are
     discarded, as is a final burst that never falls back below the low
     threshold. With *expected_count* set, finding fewer markers raises
-    SegmentationError carrying the found count so callers can retry with
-    different params; surplus markers are left for segment_events to
-    reject.
+    SegmentationError whose message gives the count found; surplus markers
+    are left for segment_events to reject.
     """
     if params is None:
         params = MarkerParams()
@@ -156,10 +155,7 @@ def detect_markers(
             prev_end = end
 
     if expected_count is not None and len(markers) < expected_count:
-        raise SegmentationError(
-            f"expected {expected_count} markers, found {len(markers)}",
-            found_count=len(markers),
-        )
+        raise SegmentationError(f"expected {expected_count} markers, found {len(markers)}")
     return markers
 
 
@@ -173,10 +169,7 @@ def segment_events(run: CaptureRun, markers: list[Marker]) -> list[EventSegment]
     entries = run.schedule.entries
     expected = run.schedule.expected_marker_count
     if len(markers) != expected:
-        raise SegmentationError(
-            f"expected {expected} markers, found {len(markers)}",
-            found_count=len(markers),
-        )
+        raise SegmentationError(f"expected {expected} markers, found {len(markers)}")
 
     segments: list[EventSegment] = []
     for k, (state, event) in enumerate(entries):

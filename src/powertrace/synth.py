@@ -16,7 +16,6 @@ vector. Changing noise settings therefore never moves the spikes.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +33,7 @@ from .model import (
     RailKind,
     RunSchedule,
     decode,
+    read_json,
     to_wire,
 )
 
@@ -418,15 +418,7 @@ def scenario_from_dict(obj: dict) -> tuple[ScenarioConfig, list[InfectionEffect 
 
 def load_scenario(path: str | Path) -> tuple[ScenarioConfig, list[InfectionEffect | None] | None]:
     """Read a scenario JSON file; see scenario_from_dict."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioConfigError(f"cannot read scenario file {path}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also nesting or int digits past a limit
-        raise ScenarioConfigError(f"scenario file is not valid JSON: {exc}") from None
-    return scenario_from_dict(obj)
+    return scenario_from_dict(read_json(path, "scenario file", ScenarioConfigError))
 
 
 def ground_truth_to_json(truth: GroundTruth) -> dict:

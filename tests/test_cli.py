@@ -257,10 +257,16 @@ def _one_error_line(capsys) -> str:
     return lines[0]
 
 
+# A comparison file's fields but its reports.
+_ENVELOPE = {"pre_run_id": STEM, "post_run_id": STEM, "dataset_index": 1,
+             "params": to_wire(powertrace.CompareParams())}
+
+
 @pytest.mark.parametrize(
     "payload, message",
-    [({"reports": [1, 2]}, "malformed comparison report"), (5, "missing 'reports' list"),
-     ({"reports": []}, "empty 'reports' list")],
+    [({**_ENVELOPE, "reports": [1, 2]}, "malformed comparison report"),
+     (5, "malformed comparison report (expected a JSON object, got int)"),
+     ({**_ENVELOPE, "reports": []}, "malformed comparison report (empty 'reports' list)")],
 )
 def test_aggregate_rejects_non_object_reports(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.comparison.json"
@@ -495,7 +501,9 @@ def _report_with(compared, tmp_path, key: str, token: str):
 def test_aggregate_rejects_an_inexact_report_scalar(compared, tmp_path, capsys, key, token):
     path = _report_with(compared, tmp_path, key, token)
     assert main(["aggregate", str(path), "--out", str(tmp_path)]) == 1
-    assert f"{path}: malformed comparison report ({key}: expected " in _one_error_line(capsys)
+    assert f"{path}: malformed comparison report (reports[0].{key}: expected " in (
+        _one_error_line(capsys)
+    )
 
 
 _WIRE_NAMES = {
@@ -514,7 +522,7 @@ def test_aggregate_rejects_an_unknown_report_name(compared, tmp_path, capsys, ke
     value = repr(json.loads(token))
     assert _one_error_line(capsys) == (
         f"powertrace: {path}: malformed comparison report "
-        f"({key}: unknown name {value} (choose from {_WIRE_NAMES[key]}))"
+        f"(reports[0].{key}: unknown name {value} (choose from {_WIRE_NAMES[key]}))"
     )
 
 
@@ -545,9 +553,9 @@ def test_report_decoding_makes_no_per_report_wire_scan(compared):
     "document, edit, message",
     [
         ("report", lambda report: report.pop("noisy"),
-         "malformed comparison report (missing keys ['noisy'])"),
+         "malformed comparison report (reports[0]: missing keys ['noisy'])"),
         ("report", lambda report: report.update(noisey=False),
-         "malformed comparison report (unknown keys ['noisey'])"),
+         "malformed comparison report (reports[0]: unknown keys ['noisey'])"),
         ("calibration", lambda calibration: calibration.pop("adc_bits"),
          "manifest.calibration: missing keys ['adc_bits']"),
         ("calibration", lambda calibration: calibration.update(adc_bitz=16),
@@ -629,6 +637,105 @@ def test_aggregate_names_the_file_at_fault(compared, tmp_path, capsys, edit, mes
     assert main(["aggregate", str(report), str(edited), "--out", str(tmp_path)]) == 1
     assert _one_error_line(capsys) == "powertrace: " + message.format(edited=edited, report=report)
     assert not (tmp_path / "aggregate.json").exists()
+
+
+# Each edit of the CLI comparison file and the decoder's words for it.
+_MALFORMED_FILES = {
+    "params_missing": (lambda payload: payload.pop("params"), "missing keys ['params']"),
+    "params_not_an_object": (lambda payload: payload.update(params="anything"),
+                             "params: expected a JSON object, got str"),
+    "params_partial": (lambda payload: payload.update(params={"window": -1.0}),
+                       "params: missing keys ['rel_threshold', 'abs_threshold', 'max_lag', "
+                       "'spike_k', 'spike_window']"),
+    "params_out_of_range": (lambda payload: payload["params"].update(window=-1.0),
+                            "params: window must be positive and finite, got -1.0"),
+    "params_unknown_key": (lambda payload: payload["params"].update(windw=1.0),
+                           "params: unknown keys ['windw']"),
+    "dataset_index": (lambda payload: payload.update(dataset_index="x"),
+                      "dataset_index: expected int, got 'x'"),
+    "run_id": (lambda payload: payload.update(pre_run_id=None),
+               "pre_run_id: expected str, got None"),
+    "unknown_key": (lambda payload: payload.update(note="x", extra=1),
+                    "unknown keys ['extra', 'note']"),
+    "reports_not_a_list": (lambda payload: payload.update(reports="x"),
+                           "reports: expected a JSON list, got str"),
+    "reports_empty": (lambda payload: payload.update(reports=[]), "empty 'reports' list"),
+    "report_not_an_object": (lambda payload: payload["reports"].__setitem__(3, 1),
+                             "reports[3]: expected a JSON object, got int"),
+    "report_kind": (lambda payload: payload["reports"][3].update(kind="3V3"),
+                    f"reports[3].kind: unknown name '3V3' (choose from {_WIRE_NAMES['kind']})"),
+    "report_scalar": (lambda payload: payload["reports"][3].update(lag_samples=2.7),
+                      "reports[3].lag_samples: expected int, got 2.7"),
+    "report_missing": (lambda payload: payload["reports"][3].pop("noisy"),
+                       "reports[3]: missing keys ['noisy']"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_FILES))
+def test_aggregate_refuses_a_malformed_comparison_file(compared, tmp_path, capsys, case):
+    # Every file of a fold is refused whole, before any is folded: the
+    # first file here is well formed.
+    edit, message = _MALFORMED_FILES[case]
+    report = compared / f"{STEM}.comparison.json"
+    payload = json.loads(report.read_text())
+    edit(payload)
+    edited = tmp_path / "edited.comparison.json"
+    edited.write_text(json.dumps(payload), encoding="ascii")
+    out = tmp_path / "out"
+    assert main(["aggregate", str(report), str(edited), "--out", str(out)]) == 1
+    assert _one_error_line(capsys) == (
+        f"powertrace: {edited}: malformed comparison report ({message})"
+    )
+    assert not out.exists()
+
+
+def test_a_stamped_comparison_file_folds_like_an_unstamped_one(workdir, compared, tmp_path):
+    stamped = tmp_path / "stamped"
+    argv = ["compare", "--pre", str(workdir.sample), "--out", str(stamped), "--max-lag", "0.05"]
+    assert main(argv + ["--stamp"]) == 0
+    report = stamped / f"{STEM}.comparison.json"
+    assert "generated_at" in json.loads(report.read_text())
+    out = tmp_path / "out"
+    assert main(["aggregate", str(report), str(compared / report.name), "--out", str(out)]) == 0
+    folded = (out / "aggregate.json").read_bytes()
+    assert main(["aggregate", str(compared / report.name), str(compared / report.name),
+                 "--out", str(out)]) == 0
+    assert folded == (out / "aggregate.json").read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "utf8", "json"])
+@pytest.mark.parametrize("document", ["scenario", "manifest", "comparison"])
+def test_an_unreadable_json_input_fails_in_one_line(
+    workdir, compared, tmp_path, capsys, document, fault
+):
+    out = str(tmp_path / "out")
+    if document == "scenario":
+        path = tmp_path / "scenario.json"
+        argv, prefix, what = ["synth", "--config", str(path), "--out", out], "", "scenario file"
+    elif document == "manifest":
+        sample = _copy_capture(workdir.sample, tmp_path / f"{STEM}.csv")
+        path = manifest_path_for(sample)
+        path.unlink()
+        argv, prefix, what = ["analyze", str(sample), "--out", out], f"{sample}: ", "manifest"
+    else:
+        path = tmp_path / f"{STEM}.comparison.json"
+        argv, prefix, what = ["aggregate", str(path), "--out", out], "", "comparison report"
+    detail = {
+        "missing": f"cannot read {what} {path}: No such file or directory",
+        "directory": f"cannot read {what} {path}: Is a directory",
+        "utf8": f"cannot read {what} {path}: 'utf-8' codec can't decode byte 0xff "
+                "in position 1: invalid start byte",
+        "json": f"{what} {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)",
+    }[fault]
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "utf8":
+        path.write_bytes(b"{\xff}")
+    elif fault == "json":
+        path.write_text("not json", encoding="ascii")
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == f"powertrace: {prefix}{detail}"
+    assert not (tmp_path / "out").exists()
 
 
 _OVERFLOWING_FLAGS = [

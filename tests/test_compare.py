@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -772,14 +771,6 @@ def test_aggregate_errors_carry_the_dataset_index():
     assert (short.value.dataset, twice.value.dataset, empty.value.dataset) == (2, 1, None)
 
 
-def test_aggregate_rejects_unlabeled_reports():
-    report = dataclasses.replace(_fake_report(ComparisonKind.IDLE_PRE_VS_IDLE_POST,
-                                              RailKind.RAIL_5V, Verdict.NO_INCREMENT),
-                                 kind=None)
-    with pytest.raises(AggregationError, match="without kind"):
-        aggregate([[report]])
-
-
 def _enum_keyed_aggregate(dataset_reports):
     """aggregate as it was before its tally was keyed by member ids: the reference."""
     if not dataset_reports:
@@ -789,8 +780,6 @@ def _enum_keyed_aggregate(dataset_reports):
     for d, reports in enumerate(dataset_reports):
         seen = set()
         for report in reports:
-            if report.kind is None or report.rail is None:
-                raise AggregationError(f"dataset {d}: report without kind/rail labels")
             key = (report.rail, report.kind)
             if key in seen:
                 raise AggregationError(
