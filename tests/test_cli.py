@@ -265,8 +265,11 @@ _ENVELOPE = {"pre_run_id": STEM, "post_run_id": STEM, "dataset_index": 1,
 @pytest.mark.parametrize(
     "payload, message",
     [({**_ENVELOPE, "reports": [1, 2]}, "malformed comparison report"),
-     (5, "malformed comparison report (expected a JSON object, got int)"),
-     ({**_ENVELOPE, "reports": []}, "malformed comparison report (empty 'reports' list)")],
+     pytest.param(5, "malformed comparison report (expected a JSON object, got int)",
+                  id="5-missing 'reports' list"),
+     pytest.param({**_ENVELOPE, "reports": []},
+                  "malformed comparison report (empty 'reports' list)",
+                  id="payload2-empty 'reports' list")],
 )
 def test_aggregate_rejects_non_object_reports(tmp_path, capsys, payload, message):
     path = tmp_path / "bad.comparison.json"
