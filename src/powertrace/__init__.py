@@ -18,11 +18,11 @@ _EXPORTS = {
                      "ComparisonError", "ManifestError", "MarkerDetectionError",
                      "PowerComputationError", "PowerTraceError", "ScenarioConfigError",
                      "SegmentationError", "TimingError"), "errors"),
-    **dict.fromkeys(("CalibrationConfig", "Manifest", "ScheduleEntry", "capture_paths",
-                     "manifest_path_for", "quantize", "read_capture", "write_capture"), "ingest"),
-    **dict.fromkeys(("DEFAULT_SAMPLE_PERIOD_S", "RAIL_NOMINAL_VOLTAGE", "RAIL_ORDER", "CaptureRun",
-                     "EventKind", "MachineState", "PowerSeries", "RailKind", "RailTrace",
-                     "RunSchedule"), "model"),
+    **dict.fromkeys(("CalibrationConfig", "Manifest", "capture_paths", "manifest_path_for",
+                     "quantize", "read_capture", "write_capture"), "ingest"),
+    **dict.fromkeys(("DEFAULT_SAMPLE_PERIOD_S", "DEFAULT_SCHEDULE", "RAIL_NOMINAL_VOLTAGE",
+                     "RAIL_ORDER", "CaptureRun", "EventKind", "MachineState", "PowerSeries",
+                     "RailKind", "RailTrace", "ScheduleEntry"), "model"),
     **dict.fromkeys(("compute_power", "window_sample_count", "windowed_means"), "power"),
     **dict.fromkeys(("AggregateCell", "AggregateReport", "CellResult", "CompareParams",
                      "ComparisonFile", "ComparisonKind", "ComparisonReport", "LagResult",

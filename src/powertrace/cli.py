@@ -173,7 +173,7 @@ class AnalyzedRun:
         self.markers = detect_markers(
             self.powers[marker_params.marker_rail],
             marker_params,
-            expected_count=run.schedule.expected_marker_count,
+            expected_count=run.expected_marker_count,
         )
         self.segments = segment_events(run, self.markers)
 

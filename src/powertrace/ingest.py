@@ -29,10 +29,8 @@ from .errors import AdcRangeError, CaptureFormatError, ManifestError, TimingErro
 from .model import (
     RAIL_ORDER,
     CaptureRun,
-    EventKind,
-    MachineState,
     RailKind,
-    RunSchedule,
+    ScheduleEntry,
     decode,
     read_json,
     to_wire,
@@ -109,19 +107,12 @@ class CalibrationConfig:
 
 
 @dataclass(frozen=True)
-class ScheduleEntry:
-    """One (state, event) entry of a manifest's schedule."""
-
-    state: MachineState
-    event: EventKind
-
-
-@dataclass(frozen=True)
 class Manifest:
     """A capture's manifest JSON: its labels, schedule, units and calibration.
 
     units says whether the sample file holds engineering units or raw
-    ADC volts awaiting the calibration scales.
+    ADC volts awaiting the calibration scales. The schedule's own rules
+    are checked by the CaptureRun read_capture builds.
     """
 
     run_id: str
@@ -141,15 +132,6 @@ class Manifest:
         if self.expected_marker_count != 2 * len(self.schedule):
             raise ValueError(f"expected_marker_count {self.expected_marker_count} != "
                              f"2 x {len(self.schedule)} schedule entries")
-        # The comparisons key segments by (state, event), so a repeated entry
-        # would silently keep only its last segment.
-        first: dict[ScheduleEntry, int] = {}
-        for i, entry in enumerate(self.schedule):
-            if first.setdefault(entry, i) != i:
-                raise ValueError(
-                    f"schedule entries {first[entry]} and {i} repeat "
-                    f"({entry.state.wire_name}, {entry.event.wire_name})"
-                )
 
 
 def _quantize_array(raw: np.ndarray, lsb: float) -> np.ndarray:
@@ -370,9 +352,8 @@ def write_capture(
     quantized as write_series_csv formats it, so no full quantized copy of
     the table is built. Returns the two paths.
     """
-    entries = tuple(ScheduleEntry(state, event) for state, event in run.schedule.entries)
     manifest = Manifest(run.run_id, run.rootkit_label, run.dataset_index, run.sample_period,
-                        units, entries, run.schedule.expected_marker_count, cal)
+                        units, run.schedule, run.expected_marker_count, cal)
     columns = []
     for j, scale in enumerate(cal.column_scales):
         column = run.samples[:, j]
@@ -504,7 +485,6 @@ def read_capture(sample_file: str | Path, manifest_file: str | Path) -> CaptureR
     obj = read_json(manifest_file, "manifest", ManifestError)
     manifest = decode(Manifest, obj, "manifest", ManifestError)
     period = manifest.sample_period_s
-    schedule = RunSchedule(tuple((entry.state, entry.event) for entry in manifest.schedule))
 
     data = _parse_sample_file(Path(sample_file))
     _check_timestamps(data[:, 0], period)
@@ -513,6 +493,6 @@ def read_capture(sample_file: str | Path, manifest_file: str | Path) -> CaptureR
         samples = samples * manifest.calibration.column_scales
     try:
         return CaptureRun(manifest.run_id, manifest.rootkit_label, manifest.dataset_index,
-                          samples, period, schedule)
+                          samples, period, manifest.schedule)
     except ValueError as exc:  # the parsed table has a valid shape: the manifest is at fault
         raise ManifestError(f"manifest: {exc}") from None

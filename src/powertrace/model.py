@@ -287,25 +287,17 @@ class PowerSeries:
 
 
 @dataclass(frozen=True)
-class RunSchedule:
-    """Ordered (state, event) script plus the marker count it implies."""
+class ScheduleEntry:
+    """One (state, event) entry of a run's schedule, delimited by a marker pair."""
 
-    entries: tuple[tuple[MachineState, EventKind], ...]
+    state: MachineState
+    event: EventKind
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple((MachineState(s), EventKind(e)) for s, e in self.entries))
 
-    @property
-    def expected_marker_count(self) -> int:
-        """One (start, end) marker pair delimits every entry."""
-        return 2 * len(self.entries)
-
-    @classmethod
-    def default(cls) -> "RunSchedule":
-        """Nine entries: boot, idle, open-browser under each of the three states."""
-        events = (EventKind.BOOT, EventKind.IDLE, EventKind.OPEN_BROWSER)
-        entries = tuple((state, event) for state in MachineState for event in events)
-        return cls(entries=entries)
+# Nine entries: boot, idle, open-browser under each of the three states.
+DEFAULT_SCHEDULE: tuple[ScheduleEntry, ...] = tuple(
+    ScheduleEntry(state, event) for state in MachineState for event in EventKind
+)
 
 
 @dataclass(frozen=True)
@@ -324,7 +316,7 @@ class CaptureRun:
     dataset_index: int
     samples: np.ndarray
     sample_period: float = DEFAULT_SAMPLE_PERIOD_S
-    schedule: RunSchedule = field(default_factory=RunSchedule.default)
+    schedule: tuple[ScheduleEntry, ...] = DEFAULT_SCHEDULE
     rails: Mapping[RailKind, RailTrace] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -342,13 +334,20 @@ class CaptureRun:
             violations.append(f"non-positive sample_period {self.sample_period}")
         elif not self.sample_period < math.inf:
             violations.append(f"non-finite sample_period {self.sample_period}")
+        if not self.run_id:
+            violations.append("run_id must not be empty")
         if self.dataset_index < 1:
             violations.append(f"dataset_index must be >= 1, got {self.dataset_index}")
-        entries = self.schedule.entries
-        for i in range(1, len(entries)):
-            if entries[i][0] < entries[i - 1][0]:
+        # The comparisons key segments by (state, event), so a repeated entry
+        # would silently keep only its last segment.
+        first: dict[ScheduleEntry, int] = {}
+        for i, entry in enumerate(self.schedule):
+            if i and entry.state < self.schedule[i - 1].state:
                 violations.append(f"schedule entries not ordered by machine state at position {i}")
-        if not entries:
+            if first.setdefault(entry, i) != i:
+                violations.append(f"schedule entries {first[entry]} and {i} repeat "
+                                  f"({entry.state.wire_name}, {entry.event.wire_name})")
+        if not self.schedule:
             violations.append("schedule has no entries")
         if violations:
             raise ValueError("; ".join(violations))
@@ -358,3 +357,8 @@ class CaptureRun:
             for j, rail in enumerate(RAIL_ORDER)
         }
         object.__setattr__(self, "rails", MappingProxyType(traces))
+
+    @property
+    def expected_marker_count(self) -> int:
+        """One (start, end) marker pair delimits every schedule entry."""
+        return 2 * len(self.schedule)

@@ -156,7 +156,8 @@ class ComparisonReport(CellResult):
 class ComparisonFile:
     """One dataset's comparison file, as compare writes it and aggregate reads
     it: the two runs compared, the params they were judged under and a
-    non-empty list of reports."""
+    non-empty list of reports. Like a CaptureRun, it refuses an empty run
+    id and a dataset_index below 1."""
 
     pre_run_id: str
     post_run_id: str
@@ -165,6 +166,11 @@ class ComparisonFile:
     reports: tuple[ComparisonReport, ...]
 
     def __post_init__(self):
+        for name in ("pre_run_id", "post_run_id"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        if self.dataset_index < 1:
+            raise ValueError(f"dataset_index must be >= 1, got {self.dataset_index}")
         if not self.reports:
             raise ValueError("empty 'reports' list")
 

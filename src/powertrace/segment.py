@@ -166,19 +166,18 @@ def segment_events(run: CaptureRun, markers: list[Marker]) -> list[EventSegment]
     of marker 2k+1. One segment per schedule entry, in schedule order: the
     rails are sampled synchronously, so its indices hold on every rail.
     """
-    entries = run.schedule.entries
-    expected = run.schedule.expected_marker_count
+    expected = run.expected_marker_count
     if len(markers) != expected:
         raise SegmentationError(f"expected {expected} markers, found {len(markers)}")
 
     segments: list[EventSegment] = []
-    for k, (state, event) in enumerate(entries):
+    for k, entry in enumerate(run.schedule):
         start = markers[2 * k].end_index
         end = markers[2 * k + 1].start_index
         if end <= start:
             raise SegmentationError(
-                f"empty segment for {state.wire_name}/{event.wire_name}: "
+                f"empty segment for {entry.state.wire_name}/{entry.event.wire_name}: "
                 f"markers {2 * k} and {2 * k + 1} leave no samples between them"
             )
-        segments.append(EventSegment(state=state, event=event, start_index=start, end_index=end))
+        segments.append(EventSegment(entry.state, entry.event, start, end))
     return segments

@@ -25,13 +25,13 @@ import numpy as np
 from .errors import ScenarioConfigError
 from .model import (
     DEFAULT_SAMPLE_PERIOD_S,
+    DEFAULT_SCHEDULE,
     RAIL_NOMINAL_VOLTAGE,
     RAIL_ORDER,
     CaptureRun,
     EventKind,
     MachineState,
     RailKind,
-    RunSchedule,
     decode,
     read_json,
     to_wire,
@@ -180,13 +180,14 @@ def _body_samples(config: ScenarioConfig, event: EventKind) -> int:
     return _samples(config.boot_duration, period, "boot_duration")
 
 
-def _layout(config: ScenarioConfig, schedule: RunSchedule) -> tuple:
-    """Sample ranges of *config*'s run, laid out before anything is drawn
-    or allocated; all rails share the same clock.
+def _layout(config: ScenarioConfig) -> tuple:
+    """Sample ranges of *config*'s run of DEFAULT_SCHEDULE, laid out before
+    anything is drawn or allocated; all rails share the same clock.
 
-    Returns the marker ranges, event spans, body ranges and entry regions,
-    the lag and the total in samples. Raises ScenarioConfigError, naming
-    the count, when the run would have more than MAX_SAMPLES samples.
+    Returns the marker ranges, the event spans and body ranges keyed by
+    (state, event) in schedule order, the entry regions, the lag and the
+    total in samples. Raises ScenarioConfigError, naming the count, when
+    the run would have more than MAX_SAMPLES samples.
     """
     period = config.sample_period
     gap_n = _samples(config.gap_duration, period, "gap_duration")
@@ -198,7 +199,8 @@ def _layout(config: ScenarioConfig, schedule: RunSchedule) -> tuple:
     body_ranges: dict[tuple[MachineState, EventKind], tuple[int, int]] = {}
     entry_regions: list[tuple[int, int]] = []
     pos = 0
-    for state, event in schedule.entries:
+    for entry in DEFAULT_SCHEDULE:
+        state, event = entry.state, entry.event
         entry_start = pos
         pos += gap_n
         marker_ranges.append((pos, pos + marker_n))
@@ -234,10 +236,7 @@ def generate_run(
     if dataset_index < 1:
         raise ScenarioConfigError(f"dataset_index must be >= 1, got {dataset_index}")
     period = config.sample_period
-    schedule = RunSchedule.default()
-    marker_ranges, event_spans, body_ranges, entry_regions, lag_n, total = _layout(
-        config, schedule
-    )
+    marker_ranges, event_spans, body_ranges, entry_regions, lag_n, total = _layout(config)
 
     rng = np.random.Generator(np.random.PCG64(config.seed + (dataset_index - 1)))
 
@@ -245,7 +244,7 @@ def generate_run(
     # noise settings for a fixed seed.
     spike_indices: dict[tuple[MachineState, EventKind], tuple[int, ...]] = {}
     rate = config.infection.spike_rate_per_min
-    for state, event in schedule.entries:
+    for state, event in event_spans:
         if state not in SUSPECT_STATES or rate == 0.0:
             continue
         body_start, body_end = body_ranges[(state, event)]
@@ -264,10 +263,10 @@ def generate_run(
         raise ScenarioConfigError(f"cannot allocate a run of {total} samples") from None
     for j, rail in enumerate(RAIL_ORDER):
         power = np.empty(total, dtype=np.float64)
-        for (state, event), (entry_start, entry_end) in zip(schedule.entries, entry_regions):
+        for (state, event), (entry_start, entry_end) in zip(event_spans, entry_regions):
             power[entry_start:entry_end] = config.baseline_power[rail][event]
 
-        for state, event in schedule.entries:
+        for state, event in event_spans:
             body_start, body_end = body_ranges[(state, event)]
             body_n = body_end - body_start
             if event is EventKind.OPEN_BROWSER and body_n > 0:
@@ -305,7 +304,6 @@ def generate_run(
         dataset_index=dataset_index,
         samples=samples,
         sample_period=period,
-        schedule=schedule,
     )
     truth = GroundTruth(
         markers=tuple(marker_ranges),
@@ -350,10 +348,9 @@ def check_ensemble(
     before it writes the first.
     """
     _check_batch(n_datasets, per_dataset_infections)
-    schedule = RunSchedule.default()
     for k in range(1, n_datasets + 1):
         try:
-            _layout(_dataset_config(config, k, per_dataset_infections), schedule)
+            _layout(_dataset_config(config, k, per_dataset_infections))
         except ScenarioConfigError as exc:
             raise ScenarioConfigError(f"dataset {k}: {exc}") from None
 

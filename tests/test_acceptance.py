@@ -63,7 +63,7 @@ def test_criterion_1_marker_recovery_on_default_runs():
             series = compute_power(run.rails[MARKER_RAIL])
             start = time.perf_counter()
             markers = detect_markers(
-                series, expected_count=run.schedule.expected_marker_count
+                series, expected_count=run.expected_marker_count
             )
             worst_time = max(worst_time, time.perf_counter() - start)
             assert len(markers) == 18

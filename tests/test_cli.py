@@ -410,6 +410,7 @@ _POST_IDLE = {"state": "post_infection", "event": "idle"}
         ({"schedule": [], "expected_marker_count": 0}, "schedule has no entries"),
         ({"schedule": [_POST_IDLE, _PRE_IDLE], "expected_marker_count": 4},
          "schedule entries not ordered by machine state at position 1"),
+        ({"run_id": ""}, "run_id must not be empty"),
     ],
 )
 def test_manifest_breaking_a_run_invariant_fails_in_one_line(
@@ -658,6 +659,13 @@ _MALFORMED_FILES = {
                       "dataset_index: expected int, got 'x'"),
     "run_id": (lambda payload: payload.update(pre_run_id=None),
                "pre_run_id: expected str, got None"),
+    # compare cannot write these: a CaptureRun refuses an empty run_id and an index below 1.
+    "dataset_index_below_one": (lambda payload: payload.update(dataset_index=0),
+                                "dataset_index must be >= 1, got 0"),
+    "run_id_empty": (lambda payload: payload.update(pre_run_id=""),
+                     "pre_run_id must not be empty"),
+    "post_run_id_empty": (lambda payload: payload.update(post_run_id=""),
+                          "post_run_id must not be empty"),
     "unknown_key": (lambda payload: payload.update(note="x", extra=1),
                     "unknown keys ['extra', 'note']"),
     "reports_not_a_list": (lambda payload: payload.update(reports="x"),

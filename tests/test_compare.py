@@ -667,7 +667,7 @@ def test_canonical_comparisons_name_missing_segment():
     run, _ = generate_run(compact_scenario(seed=28))
     pool = analyze_pool(run)
     broken = dict(pool)
-    del broken[(MachineState.POST_INFECTION, run.schedule.entries[4][1], RailKind.RAIL_5V)]
+    del broken[(MachineState.POST_INFECTION, run.schedule[4].event, RailKind.RAIL_5V)]
     with pytest.raises(ComparisonError, match="post_infection"):
         run_canonical_comparisons(pool, broken, FAST_COMPARE, PERIOD)
 

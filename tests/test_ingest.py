@@ -115,7 +115,7 @@ def test_write_then_read_round_trip(tmp_path):
     assert back.run_id == run.run_id
     assert back.rootkit_label == run.rootkit_label
     assert back.dataset_index == run.dataset_index
-    assert back.schedule.entries == run.schedule.entries
+    assert back.schedule == run.schedule
     for rail in RAIL_ORDER:
         # error bounded by half an LSB in raw volts, scaled back up
         v_tol = HALF_LSB * CAL.voltage_scale[rail] * (1 + 1e-9)

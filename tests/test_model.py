@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import compact_scenario
 from powertrace import (
+    DEFAULT_SCHEDULE,
     RAIL_NOMINAL_VOLTAGE,
     RAIL_ORDER,
     CaptureRun,
@@ -15,7 +16,7 @@ from powertrace import (
     MachineState,
     RailKind,
     RailTrace,
-    RunSchedule,
+    ScheduleEntry,
     generate_run,
 )
 from powertrace.compare import ComparisonKind, Verdict
@@ -73,18 +74,17 @@ def test_trace_arrays_are_read_only():
 
 
 def test_default_schedule_is_nine_entries_eighteen_markers():
-    sched = RunSchedule.default()
-    assert len(sched.entries) == 9
-    assert sched.expected_marker_count == 18
-    states = [s for s, _ in sched.entries]
+    assert len(DEFAULT_SCHEDULE) == 9
+    assert _tiny_run().expected_marker_count == 18
+    states = [entry.state for entry in DEFAULT_SCHEDULE]
     assert states == sorted(states)
     # every (state, event) combination exactly once
-    assert len(set(sched.entries)) == 9
+    assert len(set(DEFAULT_SCHEDULE)) == 9
 
 
 def test_schedule_marker_count_defaults_to_twice_entries():
-    sched = RunSchedule(entries=((MachineState.PRE_INFECTION, EventKind.IDLE),))
-    assert sched.expected_marker_count == 2
+    run = _tiny_run(schedule=(_PRE_IDLE,))
+    assert run.expected_marker_count == 2
 
 
 def test_validate_run_accepts_generated_run():
@@ -97,6 +97,10 @@ def test_validate_run_accepts_generated_run():
         assert np.shares_memory(trace.voltage, run.samples)
         assert np.array_equal(trace.voltage, run.samples[:, 2 * j])
         assert np.array_equal(trace.current, run.samples[:, 2 * j + 1])
+
+
+_PRE_IDLE = ScheduleEntry(MachineState.PRE_INFECTION, EventKind.IDLE)
+_POST_IDLE = ScheduleEntry(MachineState.POST_INFECTION, EventKind.IDLE)
 
 
 def _tiny_run(**overrides) -> CaptureRun:
@@ -131,22 +135,32 @@ def test_validate_run_reports_bad_dataset_index():
 
 
 def test_validate_run_reports_disordered_schedule():
-    sched = RunSchedule(entries=(
-        (MachineState.POST_INFECTION, EventKind.IDLE),
-        (MachineState.PRE_INFECTION, EventKind.IDLE),
-    ))
     with pytest.raises(ValueError, match="not ordered by machine state at position 1"):
-        _tiny_run(schedule=sched)
+        _tiny_run(schedule=(_POST_IDLE, _PRE_IDLE))
 
 
 def test_validate_run_reports_empty_schedule():
     with pytest.raises(ValueError, match="schedule has no entries"):
-        _tiny_run(schedule=RunSchedule(entries=()))
+        _tiny_run(schedule=())
+
+
+def test_validate_run_reports_a_repeated_schedule_entry():
+    # The comparisons key segments by (state, event): a repeat would keep
+    # only its last segment.
+    with pytest.raises(ValueError, match=r"^schedule entries 0 and 1 repeat \(pre_infection, idle\)$"):
+        _tiny_run(schedule=(_PRE_IDLE, _PRE_IDLE))
 
 
 def test_capture_run_names_every_violation():
     with pytest.raises(ValueError, match="dataset_index .*; schedule has no entries"):
-        _tiny_run(dataset_index=0, schedule=RunSchedule(entries=()))
+        _tiny_run(dataset_index=0, schedule=())
+    with pytest.raises(ValueError) as excinfo:
+        _tiny_run(run_id="", dataset_index=0, schedule=(_POST_IDLE, _PRE_IDLE, _POST_IDLE))
+    assert str(excinfo.value) == (
+        "run_id must not be empty; dataset_index must be >= 1, got 0; "
+        "schedule entries not ordered by machine state at position 1; "
+        "schedule entries 0 and 2 repeat (post_infection, idle)"
+    )
 
 
 # The two wire decoders before their constant-time forms, kept as oracles:

@@ -12,6 +12,7 @@ from powertrace import (
     PowerSeries,
     RAIL_ORDER,
     RailKind,
+    ScheduleEntry,
     SegmentationError,
     compute_power,
     detect_markers,
@@ -182,12 +183,12 @@ def test_segment_events_recovers_ground_truth_spans():
 def test_segments_replicated_across_rails_in_schedule_order():
     run, _ = generate_run(compact_scenario(seed=10))
     segments = segment_events(run, detect_markers(_cpu_power(run)))
-    assert [(s.state, s.event) for s in segments] == list(run.schedule.entries)
+    assert [ScheduleEntry(s.state, s.event) for s in segments] == list(run.schedule)
     assert segments[0].state is MachineState.PRE_INFECTION
     powers = {rail: compute_power(trace).power for rail, trace in run.rails.items()}
     pool = segment_power_pool(powers, segments)
     assert list(pool) == [
-        (state, event, rail) for state, event in run.schedule.entries for rail in RAIL_ORDER
+        (entry.state, entry.event, rail) for entry in run.schedule for rail in RAIL_ORDER
     ]
     for seg in segments:
         for rail in RAIL_ORDER:

@@ -62,7 +62,7 @@ def test_default_run_shape_and_truth():
 def test_event_spans_sit_between_marker_pairs():
     run, truth = generate_run(compact_scenario(3))
     markers = sorted(truth.markers)
-    ordered_events = [truth.events[(st, ev)] for st, ev in run.schedule.entries]
+    ordered_events = [truth.events[(entry.state, entry.event)] for entry in run.schedule]
     for k, (start, end) in enumerate(ordered_events):
         assert start == markers[2 * k][1]
         assert end == markers[2 * k + 1][0]
@@ -404,7 +404,6 @@ CALIBRATIONS = _builds(
 
 SCHEDULES = st.lists(
     _builds(ScheduleEntry, state=st.sampled_from(MachineState), event=st.sampled_from(EventKind)),
-    unique=True,
     max_size=len(MachineState) * len(EventKind),
 ).map(tuple)
 MANIFESTS = SCHEDULES.flatmap(lambda schedule: _builds(
@@ -488,7 +487,7 @@ def test_ground_truth_json_layout():
     assert payload["lag_samples"] == 0
     assert payload["markers"] == [[s, e] for s, e in truth.markers]
     assert set(payload["events"]) == {
-        f"{st.wire_name}/{ev.wire_name}" for st, ev in run.schedule.entries
+        f"{entry.state.wire_name}/{entry.event.wire_name}" for entry in run.schedule
     }
     assert payload["events"]["pre_infection/boot"] == list(
         truth.events[(MachineState.PRE_INFECTION, EventKind.BOOT)]
