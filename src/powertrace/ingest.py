@@ -49,6 +49,8 @@ DEFAULT_CURRENT_SCALE = 1.0
 # file to parse: both bound the memory of CSV I/O whatever the capture's length.
 _WRITE_ROWS = 8192
 _READ_BYTES = 1 << 16
+# Rows per window over which an array column formats each distinct value once.
+_FORMAT_ROWS = 8 * _WRITE_ROWS
 
 # A sample file holding one of these bytes, or one past 0x7f, goes to the
 # reference parser: str.splitlines breaks lines at \x0b, \x0c and \x1c-\x1e
@@ -182,20 +184,6 @@ def manifest_path_for(sample_file: str | Path) -> Path:
     return p.with_name(p.stem + ".manifest.json")
 
 
-def _format_cells(values: np.ndarray) -> list[str]:
-    """A comma, then ``repr``, for each float in *values*, formatting each
-    distinct value once.
-
-    repr depends only on a float's bits, so the distinct int64 bit patterns
-    are formatted and gathered back through the inverse index. Taking the
-    unique over bits, not values, keeps -0.0 apart from 0.0.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([f",{x!r}" for x in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
-
-
 # Below 2**40 a product y = k * period * 1e6 is off the exact k * period *
 # 10**6 by at most half its ulp, 2**-14, so rint(y) rounds the exact value
 # the same way unless y lies within _TIE_MARGIN of a tie.
@@ -267,7 +255,7 @@ class _QuantizedColumn:
         quantized = _quantize_array(self.values[rows] / self.scale, self.lsb)
         if self.engineering:
             quantized *= self.scale
-        # Keyed by bits, like _format_cells, so that -0.0 keeps its own text.
+        # Keyed by bits, like _ArrayColumn, so that -0.0 keeps its own text.
         bits, inverse = np.unique(quantized.view(np.int64), return_inverse=True)
         levels = bits.tolist()
         known = self._text
@@ -279,6 +267,34 @@ class _QuantizedColumn:
         known.update(zip(new, [f",{x!r}" for x in values]))
         text = np.array(list(map(known.__getitem__, levels)), dtype=object)
         return text[inverse].tolist()
+
+
+@dataclass
+class _ArrayColumn:
+    """An array column as its CSV holds it: a comma, then ``repr``, for each
+    float, with each distinct value formatted once per window of
+    _FORMAT_ROWS rows.
+
+    repr depends only on a float's bits, so at the first block of a window
+    the window's distinct int64 bit patterns are formatted, and each block
+    gathers its cells through the inverse index. Taking the unique over
+    bits, not values, keeps -0.0 apart from 0.0. Only one window's text and
+    index are held, whatever the column's length.
+    """
+
+    values: np.ndarray
+    _first: int = field(default=0, init=False, repr=False)
+    _text: np.ndarray | None = field(default=None, init=False, repr=False)
+    _inverse: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def cells(self, rows: slice) -> list[str]:
+        """A comma, then ``repr``, for each float in *rows*, which run on from the last call's."""
+        if self._inverse is None or rows.stop > self._first + len(self._inverse):
+            window = np.asarray(self.values[rows.start:rows.start + _FORMAT_ROWS], dtype=np.float64)
+            bits, self._inverse = np.unique(window.view(np.int64), return_inverse=True)
+            self._text = np.array([f",{x!r}" for x in bits.view(np.float64).tolist()], dtype=object)
+            self._first = rows.start
+        return self._text[self._inverse[rows.start - self._first:rows.stop - self._first]].tolist()
 
 
 # Rows per join when writing a block: a smaller string to hold at a time.
@@ -306,17 +322,19 @@ def write_series_csv(
     ``repr`` of each column's float.
 
     A column is an array, or write_capture's _QuantizedColumn. Cells are
-    formatted column-wise in blocks of _WRITE_ROWS rows, so memory stays
-    bounded by one block whatever the capture's length, and the tables of
+    formatted column-wise in blocks of _WRITE_ROWS rows, and the tables of
     one call share each block's time column, built with numpy
-    (_time_cells). Within a block each distinct value of an array column is
-    formatted once (_format_cells). A quantized capture column holds only a
-    few hundred to a few thousand ADC levels, and keeps each level's text
-    for the later blocks of the write, up to _WRITE_ROWS levels. Each
-    cell's text is still its repr. An OSError ends in a one-line error
-    naming the file being written.
+    (_time_cells). An array (plot) column formats each distinct value once
+    per window of _FORMAT_ROWS rows (_ArrayColumn), so its memory stays
+    bounded by one window's text whatever the capture's length. A quantized
+    capture column holds only a few hundred to a few thousand ADC levels,
+    and keeps each level's text for the later blocks of the write, up to
+    _WRITE_ROWS levels. Each cell's text is still its repr. An OSError
+    ends in a one-line error naming the file being written.
     """
     n = len(tables[0][2][0])
+    tables = [(path, header, [col if isinstance(col, _QuantizedColumn) else _ArrayColumn(col)
+                              for col in columns]) for path, header, columns in tables]
     handles = []
     try:
         for path, header, _ in tables:
@@ -326,9 +344,7 @@ def write_series_csv(
             hi = min(lo + _WRITE_ROWS, n)
             times = _time_cells(sample_period, lo, hi)
             for fh, (path, _, columns) in zip(handles, tables):
-                cells = [col.cells(slice(lo, hi)) if isinstance(col, _QuantizedColumn)
-                         else _format_cells(col[lo:hi]) for col in columns]
-                _write_rows(fh, [times, *cells])
+                _write_rows(fh, [times, *(col.cells(slice(lo, hi)) for col in columns)])
         for fh, (path, _, _) in zip(handles, tables):
             fh.close()
     except OSError as exc:

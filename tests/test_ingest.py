@@ -514,6 +514,81 @@ def test_level_reuse_formats_a_level_first_seen_in_the_last_block(tmp_path):
     _write_column(tmp_path, column)
 
 
+# Blocks and windows small enough that short columns cross several window
+# edges, and large enough that a window's text outweighs the 8 KiB a text
+# file buffers before its first flush.
+SMALL_BLOCK, SMALL_WINDOW = 64, 256
+
+
+@pytest.fixture
+def small_windows():
+    with mock.patch.object(ingest, "_WRITE_ROWS", SMALL_BLOCK), \
+            mock.patch.object(ingest, "_FORMAT_ROWS", SMALL_WINDOW):
+        yield
+
+
+def _write_arrays(path, columns, period: float = 0.01) -> None:
+    """write_series_csv of one table of array columns, checked against the per-row formatter."""
+    header = ",".join(["t", *(f"c{j}" for j in range(len(columns)))])
+    ingest.write_series_csv(period, [(path, header, columns)])
+    assert path.read_bytes() == _reference_csv(header, period, columns)
+
+
+@pytest.mark.parametrize("n", [SMALL_WINDOW - 1, SMALL_WINDOW, SMALL_WINDOW + 1, 2 * SMALL_WINDOW + 1])
+def test_array_columns_match_the_per_row_formatter_at_window_edges(small_windows, tmp_path, n):
+    rng = np.random.default_rng(n)
+    _write_arrays(tmp_path / "plot.csv", [rng.normal(size=n), rng.choice(_EDGE_FLOATS, size=n)])
+
+
+@pytest.mark.parametrize("first, later", [(-0.0, 0.0), (0.0, -0.0)])
+def test_array_columns_keep_signed_zeros_apart_across_windows(small_windows, tmp_path, first, later):
+    column = np.full(2 * SMALL_WINDOW + 1, later)
+    column[:SMALL_WINDOW] = first
+    _write_arrays(tmp_path / "plot.csv", [column])
+    text = (tmp_path / "plot.csv").read_text()
+    assert ",-0.0\n" in text and ",0.0\n" in text
+
+
+def test_array_columns_format_a_value_first_seen_in_the_last_window(small_windows, tmp_path):
+    column = np.full(2 * SMALL_WINDOW + 3, 1.0)
+    column[-2:] = 2.5
+    _write_arrays(tmp_path / "plot.csv", [column])
+
+
+def test_plot_and_capture_tables_share_one_time_column(small_windows, tmp_path):
+    run = random_run(np.random.default_rng(12), n=2 * SMALL_WINDOW + 5)
+    capture = [ingest._QuantizedColumn(run.samples[:, j], scale, CAL.lsb, True)
+               for j, scale in enumerate(CAL.column_scales)]
+    power = compute_power(run.rails[RAIL_ORDER[0]]).power
+    plot_path, capture_path = tmp_path / "plot.csv", tmp_path / "capture.csv"
+    ingest.write_series_csv(run.sample_period, [(plot_path, "time_s,power_w", [power]),
+                                                (capture_path, SAMPLE_HEADER, capture)])
+    assert plot_path.read_bytes() == _reference_csv("time_s,power_w", run.sample_period, [power])
+    assert capture_path.read_bytes() == _reference_csv(
+        SAMPLE_HEADER, run.sample_period, _quantized_columns(run, "engineering")
+    )
+
+
+def test_array_column_memory_is_bounded_by_one_window(small_windows, tmp_path):
+    # Every value distinct and of about one text length, so that each window's
+    # text is as large as it can be and of the same size: a writer that held
+    # the whole column's text would peak 2.6 times higher at six windows than
+    # at two. Each write is measured after an unmeasured one, which leaves out
+    # what only a first write allocates.
+    path = tmp_path / "plot.csv"
+    peaks = []
+    for windows in (2, 6):
+        column = np.random.default_rng(windows).uniform(1.0, 2.0, windows * SMALL_WINDOW)
+        ingest.write_series_csv(0.01, [(path, "t,c0", [column])])
+        tracemalloc.start()
+        try:
+            ingest.write_series_csv(0.01, [(path, "t,c0", [column])])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("units", ["engineering", "raw"])
 @pytest.mark.parametrize("adc_bits", [8, 16, 24])
 def test_level_reuse_clears_a_table_past_its_bound(tmp_path, units, adc_bits):
