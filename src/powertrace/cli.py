@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import AggregationError, ComparisonError, PowerTraceError
-from .model import RAIL_ORDER, MachineState, RailKind, decode, from_wire, read_json, to_wire
+from .model import (RAIL_ORDER, MachineState, RailKind, decode, from_wire, read_json, to_wire,
+                    usable_cpus)
 from .report import (CompareParams, ComparisonFile, ComparisonReport, MarkerParams, aggregate,
                      write_text_output)
 
@@ -243,11 +244,6 @@ def _plot_tables(analyzed: AnalyzedRun, out_dir: Path, stem: str) -> list[tuple]
     ]
 
 
-def _usable_cpus() -> int:
-    # Without an affinity call, assume one CPU and write in-process.
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 class _PlotWriter:
     """Writes analyze's plot files, one capture at a time, in argument order.
 
@@ -262,7 +258,7 @@ class _PlotWriter:
 
     def __init__(self) -> None:
         self.pool = None
-        self.workers = min(_usable_cpus(), len(RAIL_ORDER))
+        self.workers = min(usable_cpus(), len(RAIL_ORDER))
         self.pending: tuple | None = None
         if self.workers > 1:
             import multiprocessing

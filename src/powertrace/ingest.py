@@ -15,9 +15,13 @@ written file reproduces the device's precision loss.
 from __future__ import annotations
 
 import contextlib
+import io
+import itertools
 import json
 import math
+import os
 import re
+import threading
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -34,6 +38,7 @@ from .model import (
     decode,
     read_json,
     to_wire,
+    usable_cpus,
 )
 from .report import _open_output, _output_error, write_text_output
 
@@ -51,6 +56,9 @@ _WRITE_ROWS = 8192
 _READ_BYTES = 1 << 16
 # Rows per window over which an array column formats each distinct value once.
 _FORMAT_ROWS = 8 * _WRITE_ROWS
+# Rows each part of a sample file parsed in parts holds at least: a helper
+# process costs a fork, so a smaller file is parsed in one part.
+_PART_ROWS = _WRITE_ROWS
 
 # A sample file holding one of these bytes, or one past 0x7f, goes to the
 # reference parser: str.splitlines breaks lines at \x0b, \x0c and \x1c-\x1e
@@ -385,41 +393,114 @@ def write_capture(
     return sample_path, manifest_path
 
 
+def _scan_parts(sample_file: Path) -> list[tuple[int, int, int]] | None:
+    """The body of a sample file in line-aligned parts of equal line feeds:
+    the byte offset, first row and end row of each; or None, leaving the
+    file to the reference parser.
+
+    One binary pass checks the header and counts the line feeds. A file
+    holding _SLOW_BYTES, a non-ASCII byte or a '\r' without '\n' (which
+    universal newlines count as a line break) gives None. There is a part
+    per usable CPU, each of at least _PART_ROWS rows, and one without
+    os.fork or while another thread is alive: forking a threaded process
+    can deadlock the child.
+    """
+    with sample_file.open("rb") as fh:
+        header = fh.readline(len(_HEADER_LINES[1]))
+        if header not in _HEADER_LINES:
+            return None
+        # Each chunk's byte offset and the line feeds before it, then the end's.
+        starts, feeds = [len(header)], [0]
+        last = b"\n"
+        while chunk := fh.read(_READ_BYTES):
+            if chunk.endswith(b"\r"):  # keep each "\r\n" in one chunk
+                chunk += fh.read(1)
+            # Vectorized scans, 0.6 ms per MB together on a 2-core VM, against
+            # 2.5 ms for bytes.translate and bytes.count, which loop per byte
+            # (only a file holding '\r' pays for the counts).
+            if (not chunk.isascii() or any(byte in chunk for byte in _SLOW_BYTES)
+                    or b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n")):
+                return None
+            feeds.append(feeds[-1] + np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            starts.append(starts[-1] + len(chunk))
+            last = chunk[-1:]
+        rows = feeds[-1] + (last != b"\n")
+        cpus = usable_cpus() if hasattr(os, "fork") and threading.active_count() == 1 else 1
+        count = max(1, min(cpus, feeds[-1] // _PART_ROWS))
+        cuts = [k * feeds[-1] // count for k in range(count)] + [rows]
+        offsets = [starts[0]]
+        for cut in cuts[1:-1]:  # the byte past the body's cut-th line feed
+            c = np.searchsorted(feeds, cut) - 1
+            fh.seek(starts[c])
+            for _ in range(cut - feeds[c]):
+                fh.readline()
+            offsets.append(fh.tell())
+    return list(zip(offsets, cuts, cuts[1:]))
+
+
+def _load_part(sample_file: Path, offset: int, lo: int, hi: int, rows: int) -> np.ndarray:
+    """Rows *lo* to *hi* of a sample file's *rows*, parsed by loadtxt from
+    byte *offset*; ValueError unless they are all there and finite.
+
+    Text mode's universal newlines split lines as str.splitlines does once
+    _scan_parts has ruled out _SLOW_BYTES, non-ASCII bytes and a lone
+    '\r', and loadtxt reads each cell by the same strtod as float(). A
+    blank line, which loadtxt skips, leaves a part a row short; the last
+    part reads a line more, so that it is also a row long if the file grew.
+    """
+    lines = hi - lo + (hi == rows)
+    with sample_file.open("rb") as raw:
+        raw.seek(offset)
+        # Given a path, numpy would pick a decompressor by its suffix (.gz, .bz2, .xz).
+        with io.TextIOWrapper(raw, encoding="ascii") as fh, warnings.catch_warnings():
+            # max_rows makes loadtxt warn about blank lines and an empty table.
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(itertools.islice(fh, lines), delimiter=",", dtype=np.float64,
+                              ndmin=2, comments=None, max_rows=lines)
+    if data.shape != (hi - lo, len(_COLUMNS)) or not np.isfinite(data).all():
+        raise ValueError(f"rows {lo} to {hi} are not {hi - lo} rows of finite cells")
+    return data
+
+
 def _load_sample_rows(sample_file: Path) -> np.ndarray | None:
     """Fast path: the sample table of a capture, via numpy's C reader.
 
-    One binary pass checks the header and counts the line feeds, so that
-    loadtxt allocates the table once. It reads the file in text mode, whose
-    universal newlines split lines as str.splitlines does once _SLOW_BYTES
-    and non-ASCII bytes are ruled out, and each cell by the same strtod as
-    float(). Returns None, leaving the file to _parse_sample_text, unless
-    the header is exact and every row holds 9 finite numbers that loadtxt
-    accepts: loadtxt rejects whitespace-only lines and '1_0', which float()
+    A file in one part (_scan_parts) is one loadtxt call, bounded by its
+    row count so that it allocates the table once. Otherwise the table is
+    one shared anonymous mmap: a forked helper parses each part but the
+    first into its rows and leaves by os._exit, while this process parses
+    the first part, then reaps every helper, on success or error (loadtxt
+    holds the GIL, so threads would not overlap). Returns None, leaving
+    the file to _parse_sample_text, if any part fails, a fork included:
+    loadtxt rejects whitespace-only lines and '1_0', which float()
     accepts, and only the slow path words the error messages.
     """
-    newlines = 1  # the header's
-    with sample_file.open("rb") as fh:
-        if fh.readline(len(_HEADER_LINES[1])) not in _HEADER_LINES:
-            return None
-        while chunk := fh.read(_READ_BYTES):
-            # Vectorized scans, 0.6 ms per MB together on a 2-core VM, against
-            # 2.5 ms for bytes.translate and bytes.count, which loop per byte.
-            if not chunk.isascii() or any(byte in chunk for byte in _SLOW_BYTES):
-                return None
-            newlines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
-    # Given a path, numpy would pick a decompressor by its suffix (.gz, .bz2, .xz).
-    with sample_file.open(encoding="ascii") as fh, warnings.catch_warnings():
-        # max_rows makes loadtxt warn about blank lines and an empty table.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            data = np.loadtxt(fh, delimiter=",", dtype=np.float64, skiprows=1, ndmin=2,
-                              comments=None, max_rows=newlines + 1)
-        except ValueError:  # a cell loadtxt rejects
-            return None
-    # More rows than line feeds: a lone '\r' broke a line, or the file grew.
-    if not 0 < len(data) <= newlines or data.shape[1] != len(_COLUMNS):
+    parts = _scan_parts(sample_file)
+    if parts is None:
         return None
-    return data if np.isfinite(data).all() else None
+    rows = parts[-1][2]
+    helpers = []
+    try:
+        if len(parts) == 1:
+            return _load_part(sample_file, *parts[0], rows)
+        import mmap  # here, so that a process that never splits a file does not load it
+
+        table = np.frombuffer(mmap.mmap(-1, rows * len(_COLUMNS) * 8), np.float64).reshape(rows, -1)
+        for offset, lo, hi in parts[1:]:
+            pid = os.fork()
+            if pid == 0:  # a helper: it never returns
+                try:
+                    table[lo:hi] = _load_part(sample_file, offset, lo, hi, rows)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            helpers.append(pid)
+        table[:parts[0][2]] = _load_part(sample_file, *parts[0], rows)
+    except (OSError, ValueError):  # the reference parser reads the file, or words the error
+        return None
+    finally:
+        failed = [pid for pid in helpers if os.waitpid(pid, 0)[1]]
+    return None if failed else table
 
 
 def _parse_sample_file(sample_file: Path) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 import typing
 from collections.abc import Callable, Mapping
@@ -362,3 +363,8 @@ class CaptureRun:
     def expected_marker_count(self) -> int:
         """One (start, end) marker pair delimits every schedule entry."""
         return 2 * len(self.schedule)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; one where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

@@ -1252,7 +1252,7 @@ def test_a_worker_that_dies_ends_in_one_line(workdir, second_capture, tmp_path, 
     argv = ["analyze", str(workdir.sample), str(second_capture), "--out", str(out)]
     death = (mock.patch("powertrace.cli.write_series_csv", _exit_in_a_worker) if when == "writing"
              else mock.patch("powertrace.cli._analyze", _kill_the_workers_first(cli._analyze)))
-    with mock.patch("powertrace.cli._usable_cpus", return_value=2), death:
+    with mock.patch("powertrace.cli.usable_cpus", return_value=2), death:
         assert main(argv) == 1
     # The pool is given up; the next capture's files are written in-process.
     assert capsys.readouterr().err.splitlines() == [
@@ -1312,5 +1312,5 @@ def test_analyze_holds_one_capture_table_at_a_time(workdir, second_capture, tmp_
     copy = _copy_capture(workdir.sample, tmp_path / "copy.csv")
     captures = [workdir.sample, copy, second_capture]
     argv = ["analyze", *map(str, captures), "--out", str(tmp_path / "out")]
-    with mock.patch("powertrace.cli._usable_cpus", return_value=cpus):
+    with mock.patch("powertrace.cli.usable_cpus", return_value=cpus):
         assert _tables_alive_at_each_read(argv) == [0, 0, 0]

@@ -131,7 +131,7 @@ def test_cross_capture_comparison_matches_golden_files(tmp_path):
 @pytest.mark.parametrize("cpus", [1, 4])
 def test_plot_bytes_do_not_depend_on_the_worker_count(tmp_path, cpus):
     # One usable CPU writes in-process; four fork one plot writer per rail.
-    with mock.patch("powertrace.cli._usable_cpus", return_value=cpus):
+    with mock.patch("powertrace.cli.usable_cpus", return_value=cpus):
         _, digests = run_round_trip(tmp_path)
     assert digests.splitlines() == CSV_DIGESTS.read_text(encoding="ascii").splitlines()
 

@@ -1,7 +1,12 @@
+import contextlib
 import dataclasses
+import errno
 import json
 import math
+import mmap
+import os
 import re
+import threading
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -712,8 +717,8 @@ def test_fast_parse_leaves_whitespace_lines_to_the_reference_parser(tmp_path):
 
 
 def test_a_table_reaching_its_counted_rows_goes_to_the_reference_parser(tmp_path):
-    # loadtxt also breaks lines at a lone '\r', so this table has more rows
-    # than the file has line feeds, and reaches the bound they set.
+    # loadtxt also breaks lines at a lone '\r', so this table would have more
+    # rows than the file has line feeds; the scan refuses it first.
     sample_path = tmp_path / "sample.csv"
     sample_path.write_bytes(f"{SAMPLE_HEADER}\n{_ROW}\r{_ROW}\r{_ROW}\n".encode("ascii"))
     assert ingest._load_sample_rows(sample_path) is None
@@ -731,10 +736,152 @@ def test_read_capture_allocates_under_four_times_its_array(tmp_path):
         sample_path, manifest_path = write_capture(run, CAL, tmp_path)
         table_bytes = len(run.samples) * len(ingest._COLUMNS) * 8
         assert len(run.samples) == rows
-        tracemalloc.start()
-        try:
-            read_capture(sample_path, manifest_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # One part: the table is loadtxt's own array.
+        with mock.patch.object(ingest, "usable_cpus", return_value=1):
+            peak = _read_peak(sample_path, manifest_path)[1]
         assert peak <= 1.4 * table_bytes, (rows, peak, table_bytes)
+
+
+def _read_peak(sample_path, manifest_path) -> tuple[CaptureRun, int]:
+    tracemalloc.start()
+    try:
+        run = read_capture(sample_path, manifest_path)
+        return run, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def _parts(cpus: int, part_rows: int = 1):
+    """Parse in up to *cpus* parts of at least *part_rows* rows, counting forks.
+
+    pytest plugins may run threads, which would keep a read in one part.
+    """
+    with (mock.patch.object(ingest, "usable_cpus", return_value=cpus),
+          mock.patch.object(ingest, "_PART_ROWS", part_rows),
+          mock.patch.object(ingest.threading, "active_count", return_value=1),
+          mock.patch.object(ingest.os, "fork", wraps=os.fork) as fork):
+        yield fork
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_read_capture_in_parts_allocates_only_its_own_part(tmp_path):
+    # The table is a shared mmap, which tracemalloc does not see, and this
+    # process parses the first part: 1.4x those rows bounds its peak, as it
+    # does the whole table's in one part, and the run views the mmap.
+    run, _ = generate_run(ScenarioConfig(seed=3, idle_duration=120.0))
+    sample_path, manifest_path = write_capture(run, CAL, tmp_path)
+    with _parts(2, ingest._PART_ROWS) as fork:
+        parts = ingest._scan_parts(sample_path)
+        back, peak = _read_peak(sample_path, manifest_path)
+    assert fork.call_count == 1 and [hi - lo for _, lo, hi in parts] == [36_300, 36_300]
+    own_bytes = parts[0][2] * len(ingest._COLUMNS) * 8
+    assert peak <= 1.4 * own_bytes, (peak, own_bytes)
+    base = back.samples
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base.obj, mmap.mmap)  # numpy's memoryview of it
+    reference = ingest._parse_sample_text(sample_path.read_text(encoding="ascii"))
+    assert back.samples.tobytes() == reference[:, 1:].tobytes()
+    _no_child_left()
+
+
+_BAD_ROW = "abc" + _ROW[3:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_sample_texts(), read_size=st.sampled_from([1, 2, 7, 64, ingest._READ_BYTES]),
+       cpus=st.sampled_from([2, 3]))
+@example(text=f"{SAMPLE_HEADER}\n{_ROW}\n{_ROW}\n{_ROW}\n{_BAD_ROW}\n", read_size=7, cpus=2)
+@example(text=f"{SAMPLE_HEADER}\n{_ROW}\n{_ROW}\n{_ROW}\n\n{_ROW}\n", read_size=2, cpus=2)
+@example(text=f"{SAMPLE_HEADER}\r\n{_ROW}\r\n{_ROW}\r\n\r\n{_ROW}\r\n{_ROW}\r\n",
+         read_size=1, cpus=3)
+@example(text=f"{SAMPLE_HEADER}\n{_ROW}\n{_ROW}\r{_ROW}\n{_ROW}\n", read_size=64, cpus=3)
+@example(text=f"{SAMPLE_HEADER}\n{_ROW}\n{_ROW}\n{_ROW}", read_size=1, cpus=3)
+def test_parted_parse_equals_the_reference_parser(scratch_csv, text, read_size, cpus):
+    # Parts of one row or more, so that their bounds fall anywhere.
+    scratch_csv.unlink(missing_ok=True)
+    scratch_csv.write_bytes(text.encode("ascii"))
+    reference = _outcome(lambda: ingest._parse_sample_text(scratch_csv.read_text(encoding="ascii")))
+    with mock.patch.object(ingest, "_READ_BYTES", read_size), _parts(cpus) as fork:
+        parts = ingest._scan_parts(scratch_csv)
+        assert _outcome(lambda: ingest._parse_sample_file(scratch_csv)) == reference
+    if parts is not None:
+        body_feeds = text.encode("ascii").split(b"\n", 1)[1].count(b"\n")
+        assert len(parts) == max(1, min(cpus, body_feeds))
+    assert fork.call_count == (0 if parts is None else len(parts) - 1)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_a_parted_read_fills_every_part(tmp_path, newline):
+    run = random_run(np.random.default_rng(11), n=500)
+    sample_path, _ = write_capture(run, CAL, tmp_path)
+    sample_path.write_bytes(sample_path.read_bytes().replace(b"\n", newline.encode("ascii")))
+    reference = ingest._parse_sample_text(sample_path.read_text(encoding="ascii"))
+    # 7-byte reads split many a "\r\n" across two reads.
+    for cpus, read_size in ((2, ingest._READ_BYTES), (3, 7)):
+        with mock.patch.object(ingest, "_READ_BYTES", read_size), _parts(cpus, 100) as fork:
+            data = ingest._load_sample_rows(sample_path)
+        assert fork.call_count == cpus - 1
+        assert data.tobytes() == reference.tobytes()
+    _no_child_left()
+
+
+def test_a_failed_helper_leaves_the_file_to_the_reference_parser(tmp_path):
+    run = random_run(np.random.default_rng(11), n=500)
+    sample_path, _ = write_capture(run, CAL, tmp_path)
+    reference = ingest._parse_sample_text(sample_path.read_text(encoding="ascii"))
+    parent, loadtxt = os.getpid(), np.loadtxt
+
+    def failing_in_a_helper(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("helper failed")
+        return loadtxt(*args, **kwargs)
+
+    with _parts(3, 100) as fork, mock.patch.object(ingest.np, "loadtxt", failing_in_a_helper):
+        data = ingest._parse_sample_file(sample_path)
+    assert fork.call_count == 2
+    assert data.tobytes() == reference.tobytes()
+    _no_child_left()
+
+
+def test_an_error_in_the_first_part_reaps_every_helper(tmp_path):
+    sample_path = tmp_path / "sample.csv"
+    sample_path.write_bytes(f"{SAMPLE_HEADER}\n{_BAD_ROW}\n{_ROW}\n{_ROW}\n".encode("ascii"))
+    with _parts(3) as fork, pytest.raises(CaptureFormatError, match="^row 0, column t_s: "):
+        ingest._parse_sample_file(sample_path)
+    assert fork.call_count == 2
+    _no_child_left()
+
+
+def test_a_failed_fork_leaves_the_file_to_the_reference_parser(tmp_path):
+    run = random_run(np.random.default_rng(11), n=500)
+    sample_path, _ = write_capture(run, CAL, tmp_path)
+    forks = [os.fork, mock.Mock(side_effect=BlockingIOError(errno.EAGAIN, "no process to spare"))]
+    with _parts(3, 100) as fork:
+        fork.side_effect = lambda: forks.pop(0)()
+        assert ingest._load_sample_rows(sample_path) is None
+    assert fork.call_count == 2
+    _no_child_left()
+
+
+def test_a_read_with_another_thread_alive_never_forks(tmp_path):
+    sample_path, manifest_path = _written_pair(tmp_path)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with (mock.patch.object(ingest, "usable_cpus", return_value=2),
+              mock.patch.object(ingest, "_PART_ROWS", 1),
+              mock.patch.object(ingest.os, "fork", side_effect=AssertionError("forked"))):
+            back = read_capture(sample_path, manifest_path)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(back.samples) == 30

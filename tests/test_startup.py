@@ -145,7 +145,7 @@ def recording(self):
     start_pool(self)
 
 cli._PlotWriter.__init__ = recording
-cli._usable_cpus = lambda: 2  # a pool even on one CPU
+cli.usable_cpus = lambda: 2  # a pool even on one CPU
 code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "at_pool_start": at_pool_start}))
 """
