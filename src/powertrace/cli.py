@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .errors import AggregationError, ComparisonError, PowerTraceError
 from .model import (RAIL_ORDER, MachineState, RailKind, decode, from_wire, read_json, to_wire,
-                    usable_cpus)
+                    fork_helper, reap_helper, usable_cpus)
 from .report import (CompareParams, ComparisonFile, ComparisonReport, MarkerParams, aggregate,
                      write_text_output)
 
@@ -244,91 +244,71 @@ def _plot_tables(analyzed: AnalyzedRun, out_dir: Path, stem: str) -> list[tuple]
     ]
 
 
+def _plot_error(sample_period: float, tables: list) -> str:
+    """Write *tables*; the text of a write error, or '' once they are written."""
+    try:
+        write_series_csv(sample_period, tables)
+    except PowerTraceError as exc:
+        return str(exc)
+    return ""
+
+
 class _PlotWriter:
     """Writes analyze's plot files, one capture at a time, in argument order.
 
-    With more than one usable CPU, a fork-context pool of up to one worker
-    per rail writes a capture's tables (split round-robin, one
-    write_series_csv call per worker) while the caller reads the next
-    capture. Every stage perfbench wraps stays in the calling process.
-    Otherwise the tables are written in-process when started. Either way a
-    capture's note or error is printed by wait(), so stderr keeps the order
-    of the captures.
+    With more than one usable CPU and os.fork, start() forks a helper per
+    CPU, up to one per rail, to write a round-robin share of the tables
+    while the caller reads the next capture. A helper gets the power
+    arrays through fork, so nothing is pickled, and sends back any error's
+    text through a pipe; while helpers run, usable_cpus() leaves their
+    CPUs out of the next read's parts. Every stage perfbench wraps stays
+    in the calling process. Otherwise, and for a share whose fork fails,
+    the tables are written in-process, in two shares, so that a call holds
+    two columns' text, not four. wait() prints a capture's note or first
+    error, so stderr keeps the order of the captures.
     """
 
     def __init__(self) -> None:
-        self.pool = None
-        self.workers = min(usable_cpus(), len(RAIL_ORDER))
+        cpus = usable_cpus() if hasattr(os, "fork") else 1
+        self.helpers = min(cpus, len(RAIL_ORDER)) if cpus > 1 else 0  # per capture
         self.pending: tuple | None = None
-        if self.workers > 1:
-            import multiprocessing
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                from concurrent.futures import ProcessPoolExecutor
-
-                self.pool = ProcessPoolExecutor(
-                    self.workers, mp_context=multiprocessing.get_context("fork")
-                )
-                # A fork pool starts all its workers at the first submit and
-                # its threads after them: fork now, while the process is
-                # small, so the workers' RSS does not include a capture. The
-                # no-op task's result is not needed.
-                self.pool.submit(int)
-
-    def __enter__(self) -> _PlotWriter:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self.pool is not None:
-            self.pool.shutdown(wait=True, cancel_futures=True)
 
     def start(self, capture: Path, sample_period: float, tables: list, note: str) -> None:
         """Begin writing *capture*'s *tables*; wait() for the previous capture first."""
-        error = futures = None
-        if self.pool is None:
-            try:
-                write_series_csv(sample_period, tables)
-            except PowerTraceError as exc:
-                error = exc
-        else:
-            from concurrent.futures import BrokenExecutor
-
-            try:
-                futures = [
-                    self.pool.submit(write_series_csv, sample_period, tables[i::self.workers])
-                    for i in range(self.workers)
-                ]
-            except BrokenExecutor:  # a worker died while idle
-                error = self._give_up_pool(capture)
-        self.pending = (capture, note, error, futures)
+        shares = max(self.helpers, 2)
+        errors, running = [], []  # running: (pid, pipe) of each helper
+        for share in (tables[i::shares] for i in range(shares)):
+            if self.helpers:
+                read_end, write_end = os.pipe()
+                try:
+                    running.append((fork_helper(
+                        lambda: os.write(write_end, _plot_error(sample_period, share).encode())),
+                        read_end))
+                    continue
+                except OSError:  # no process to spare: this share is written here
+                    os.close(read_end)
+                finally:
+                    os.close(write_end)
+            errors.append(_plot_error(sample_period, share))
+        self.pending = (capture, note, errors, running)
 
     def wait(self) -> int:
-        """Finish the started capture and print its note or error; returns the exit status."""
+        """Finish the started capture and print its note or first error; returns the exit status."""
         if self.pending is None:
             return 0
-        capture, note, error, futures = self.pending
+        capture, note, errors, running = self.pending
         self.pending = None
-        if futures:
-            from concurrent.futures import BrokenExecutor, wait as wait_all
-
-            wait_all(futures)  # every file is closed before the next capture's start
-            try:
-                for future in futures:
-                    future.result()
-            except PowerTraceError as exc:
-                error = exc
-            except BrokenExecutor:
-                error = self._give_up_pool(capture)
-        if error is not None:
-            return _fail(str(error))
+        for pid, read_end in running:
+            with open(read_end, "rb") as pipe:  # it ends when the helper does
+                errors.append(pipe.read().decode())
+            if reap_helper(pid):  # killed, or dead without a word
+                self.helpers = 0  # the remaining captures are written in-process
+                errors[-1] = f"{capture}: a plot-writing worker process ended abruptly"
+        error = next(filter(None, errors), "")
+        if error:
+            return _fail(error)
         _note(note)
         return 0
-
-    def _give_up_pool(self, capture: Path) -> PowerTraceError:
-        """Shut the broken pool down; the remaining captures are written in-process."""
-        self.pool.shutdown(wait=True)
-        self.pool = None
-        return PowerTraceError(f"{capture}: a plot-writing worker process ended abruptly")
 
 
 def _aggregate_payload(dataset_reports: list[Sequence[ComparisonReport]]) -> dict:
@@ -398,7 +378,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    _load_stages()  # before _PlotWriter forks: its workers then have write_series_csv
+    _load_stages()
     params = _params(MarkerParams, args)
     out = _output_dir(args.out) if args.out else None
     captures = [Path(capture) for capture in args.captures]
@@ -407,7 +387,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _refuse_shared_outputs([((path,), output) for path, report in zip(captures, report_paths)
                             for output in (report, *_plot_paths(report.parent, path.stem))])
     status = 0
-    with _PlotWriter() as plots:
+    plots = _PlotWriter()
+    try:
         for sample_path, report_path in zip(captures, report_paths):
             try:
                 analyzed = _analyze(sample_path, params)
@@ -423,6 +404,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                         f"analyzed {sample_path}: {len(analyzed.markers)} markers, "
                         f"{len(analyzed.segments)} segments -> {report_path.name}, "
                         f"{len(tables)} plot files")
+    finally:  # no helper outlives the command
         status |= plots.wait()
     return status
 

@@ -36,7 +36,9 @@ from .model import (
     RailKind,
     ScheduleEntry,
     decode,
+    fork_helper,
     read_json,
+    reap_helper,
     to_wire,
     usable_cpus,
 )
@@ -68,11 +70,6 @@ _SLOW_BYTES = tuple(bytes([byte]) for byte in (0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1
 _HEADER_LINES = tuple(f"{SAMPLE_HEADER}{end}".encode("ascii") for end in ("\n", "\r\n"))
 
 
-def _per_rail(value: float):
-    """Default factory for a table holding *value* on every rail."""
-    return lambda: dict.fromkeys(RAIL_ORDER, value)
-
-
 def _check_scale(name: str, value: float) -> None:
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
@@ -89,8 +86,10 @@ class CalibrationConfig:
     [-adc_full_scale, +adc_full_scale] with adc_bits of precision.
     """
 
-    voltage_scale: dict[RailKind, float] = field(default_factory=_per_rail(DEFAULT_VOLTAGE_SCALE))
-    current_scale: dict[RailKind, float] = field(default_factory=_per_rail(DEFAULT_CURRENT_SCALE))
+    voltage_scale: dict[RailKind, float] = field(
+        default_factory=lambda: dict.fromkeys(RAIL_ORDER, DEFAULT_VOLTAGE_SCALE))
+    current_scale: dict[RailKind, float] = field(
+        default_factory=lambda: dict.fromkeys(RAIL_ORDER, DEFAULT_CURRENT_SCALE))
     adc_bits: int = 16
     adc_full_scale: float = 10.0
 
@@ -144,9 +143,10 @@ class Manifest:
                              f"2 x {len(self.schedule)} schedule entries")
 
 
-def _quantize_array(raw: np.ndarray, lsb: float) -> np.ndarray:
-    # Nearest lattice level, ties away from zero (0.5 offset before floor).
-    return np.sign(raw) * np.floor(np.abs(raw) / lsb + 0.5) * lsb
+def _adc_codes(raw: np.ndarray, lsb: float) -> np.ndarray:
+    # The nearest lattice level's signed count of lsb, ties away from zero
+    # (0.5 offset before floor).
+    return np.sign(raw) * np.floor(np.abs(raw) / lsb + 0.5)
 
 
 def quantize(value, cal: CalibrationConfig):
@@ -157,10 +157,8 @@ def quantize(value, cal: CalibrationConfig):
     """
     raw = np.asarray(value, dtype=np.float64)
     _check_adc_range(raw, cal)
-    out = _quantize_array(raw, cal.lsb)
-    if np.isscalar(value) or np.ndim(value) == 0:
-        return float(out)
-    return out
+    out = _adc_codes(raw, cal.lsb) * cal.lsb
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_adc_range(raw: np.ndarray, cal: CalibrationConfig, where: str = "") -> None:
@@ -181,9 +179,8 @@ def _safe_stem(run_id: str) -> str:
 
 def capture_paths(out_dir: str | Path, run_id: str) -> tuple[Path, Path]:
     """Conventional (sample, manifest) paths for a run written to *out_dir*."""
-    stem = _safe_stem(run_id)
-    out = Path(out_dir)
-    return out / f"{stem}.csv", out / f"{stem}.manifest.json"
+    sample = Path(out_dir) / f"{_safe_stem(run_id)}.csv"
+    return sample, manifest_path_for(sample)
 
 
 def manifest_path_for(sample_file: str | Path) -> Path:
@@ -244,9 +241,12 @@ class _QuantizedColumn:
     time: converted to raw ADC volts, quantized and, in engineering units,
     scaled back.
 
-    The text of each ADC level once formatted is kept for the next blocks
-    of the same write, up to _WRITE_ROWS levels; a full table is cleared,
-    so its memory stays that of one block's cells.
+    A block formats each ADC level it holds once. Its levels are found
+    without a sort when their codes span fewer than 8 per row, as a
+    capture's few hundred per block do, and by np.unique otherwise. The
+    text of each level once formatted is kept for the next blocks of the
+    same write, up to _WRITE_ROWS levels; a full table is cleared, so its
+    memory stays that of one block's cells.
     """
 
     values: np.ndarray
@@ -255,26 +255,26 @@ class _QuantizedColumn:
     engineering: bool
     _text: dict[int, str] = field(default_factory=dict, init=False, repr=False)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def cells(self, rows: slice) -> list[str]:
         """A comma, then ``repr``, for each quantized value in *rows*."""
-        quantized = _quantize_array(self.values[rows] / self.scale, self.lsb)
-        if self.engineering:
-            quantized *= self.scale
-        # Keyed by bits, like _ArrayColumn, so that -0.0 keeps its own text.
-        bits, inverse = np.unique(quantized.view(np.int64), return_inverse=True)
-        levels = bits.tolist()
+        codes = _adc_codes(self.values[rows] / self.scale, self.lsb)
+        # 2 * code + sign bit names each value, -0.0 apart from 0.0; a slot
+        # is a key's offset from the lowest, or its rank if they spread wide.
+        keys = (2 * codes).astype(np.int64) + np.signbit(codes)
+        slots = (keys - keys.min() if np.ptp(keys) < 8 * len(keys)
+                 else np.unique(keys, return_inverse=True)[1])
+        row = np.full(slots.max() + 1, -1)
+        row[slots] = np.arange(len(slots))  # a row of each slot, if any
+        present = row >= 0
+        ids = keys[row[present]].tolist()
+        values = codes[row[present]] * self.lsb * (self.scale if self.engineering else 1.0)
         known = self._text
-        new = [level for level in levels if level not in known]
-        if len(known) + len(new) > _WRITE_ROWS:
+        if len(known.keys() | ids) > _WRITE_ROWS:
             known.clear()
-            new = levels
-        values = np.array(new, dtype=np.int64).view(np.float64).tolist()
-        known.update(zip(new, [f",{x!r}" for x in values]))
-        text = np.array(list(map(known.__getitem__, levels)), dtype=object)
-        return text[inverse].tolist()
+        known.update((key, f",{x!r}") for key, x in zip(ids, values.tolist()) if key not in known)
+        table = np.empty(len(row), dtype=object)
+        table[present] = list(map(known.__getitem__, ids))
+        return table[slots].tolist()
 
 
 @dataclass
@@ -340,9 +340,9 @@ def write_series_csv(
     _WRITE_ROWS levels. Each cell's text is still its repr. An OSError
     ends in a one-line error naming the file being written.
     """
-    n = len(tables[0][2][0])
     tables = [(path, header, [col if isinstance(col, _QuantizedColumn) else _ArrayColumn(col)
                               for col in columns]) for path, header, columns in tables]
+    n = len(tables[0][2][0].values)
     handles = []
     try:
         for path, header, _ in tables:
@@ -401,9 +401,10 @@ def _scan_parts(sample_file: Path) -> list[tuple[int, int, int]] | None:
     One binary pass checks the header and counts the line feeds. A file
     holding _SLOW_BYTES, a non-ASCII byte or a '\r' without '\n' (which
     universal newlines count as a line break) gives None. There is a part
-    per usable CPU, each of at least _PART_ROWS rows, and one without
-    os.fork or while another thread is alive: forking a threaded process
-    can deadlock the child.
+    per usable CPU, each of at least _PART_ROWS rows; usable_cpus leaves
+    out a CPU per live helper, such as analyze's plot helpers. There is
+    one part without os.fork or while another thread is alive: forking a
+    threaded process can deadlock the child.
     """
     with sample_file.open("rb") as fh:
         header = fh.readline(len(_HEADER_LINES[1]))
@@ -487,19 +488,13 @@ def _load_sample_rows(sample_file: Path) -> np.ndarray | None:
 
         table = np.frombuffer(mmap.mmap(-1, rows * len(_COLUMNS) * 8), np.float64).reshape(rows, -1)
         for offset, lo, hi in parts[1:]:
-            pid = os.fork()
-            if pid == 0:  # a helper: it never returns
-                try:
-                    table[lo:hi] = _load_part(sample_file, offset, lo, hi, rows)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            helpers.append(pid)
+            helpers.append(fork_helper(
+                lambda: np.copyto(table[lo:hi], _load_part(sample_file, offset, lo, hi, rows))))
         table[:parts[0][2]] = _load_part(sample_file, *parts[0], rows)
     except (OSError, ValueError):  # the reference parser reads the file, or words the error
         return None
     finally:
-        failed = [pid for pid in helpers if os.waitpid(pid, 0)[1]]
+        failed = [pid for pid in helpers if reap_helper(pid)]
     return None if failed else table
 
 

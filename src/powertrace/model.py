@@ -25,6 +25,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_SAMPLE_PERIOD_S = 0.010
+_LIVE_HELPERS: set[int] = set()  # pids forked by fork_helper, not yet reaped
 
 
 class RailKind(Enum):
@@ -366,5 +367,25 @@ class CaptureRun:
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on; one where the platform cannot say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """CPUs this process may run on (one if unknown) less its live helpers, at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, cpus - len(_LIVE_HELPERS))
+
+
+def fork_helper(work: Callable[[], object]) -> int:
+    """The pid of a forked helper that runs *work*, then os._exit(0), or 1 if *work* raises."""
+    pid = os.fork()
+    if pid == 0:  # the helper: it never returns
+        try:
+            work()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    _LIVE_HELPERS.add(pid)
+    return pid
+
+
+def reap_helper(pid: int) -> int:
+    """Wait for the helper *pid* to end; its wait status, 0 if its work returned."""
+    _LIVE_HELPERS.discard(pid)
+    return os.waitpid(pid, 0)[1]

@@ -1,16 +1,17 @@
 """End-to-end tests driving the command line in process."""
 
+import contextlib
 import dataclasses
 import errno
 import gc
 import hashlib
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -31,7 +32,7 @@ from powertrace import (
     generate_run,
     write_capture,
 )
-from powertrace import cli
+from powertrace import cli, ingest, model
 from powertrace.cli import main
 from powertrace.ingest import SAMPLE_HEADER, manifest_path_for, write_series_csv
 from powertrace.model import to_wire
@@ -1121,8 +1122,8 @@ def test_a_directory_that_cannot_be_made_fails_in_one_line(workdir, tmp_path, ca
 
 
 # analyze writes a capture's plot files while it reads the next capture;
-# these pin what that must not change: stderr order, same-stem outputs
-# and a worker process that dies.
+# these pin what that must not change: stderr order, same-stem outputs,
+# a helper process that dies and no helper left behind.
 
 
 @pytest.fixture(scope="module")
@@ -1144,6 +1145,12 @@ def _copy_capture(sample: Path, dest: Path) -> Path:
 def _analyzed_alone(sample: Path, out: Path) -> dict[str, bytes]:
     assert main(["analyze", str(sample), "--out", str(out)]) == 0
     return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not model._LIVE_HELPERS  # so later reads count every CPU
 
 
 def _note(sample: Path) -> str:
@@ -1173,12 +1180,24 @@ def test_a_failed_plot_write_is_reported_before_the_next_capture(
     out.mkdir()
     full = out / f"{STEM}.plot.12v_mb.csv"
     full.symlink_to("/dev/full")
-    assert main(["analyze", str(workdir.sample), str(second_capture), "--out", str(out)]) == 1
+    argv = ["analyze", str(workdir.sample), str(second_capture), "--out", str(out)]
+    with mock.patch("powertrace.cli.usable_cpus", return_value=2):  # a helper sends the error
+        assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"powertrace: {full}: No space left on device", _note(second_capture),
     ]
+    _no_child_left()
     alone = _analyzed_alone(second_capture, tmp_path / "alone")
     assert {name: (out / name).read_bytes() for name in alone} == alone
+
+
+def test_one_cpu_writes_each_capture_in_two_halves(workdir, second_capture, tmp_path):
+    # So that one call holds two plot columns' window text, not four.
+    argv = ["analyze", str(workdir.sample), str(second_capture), "--out", str(tmp_path)]
+    with (mock.patch("powertrace.cli.usable_cpus", return_value=1),
+          mock.patch("powertrace.cli.write_series_csv", wraps=write_series_csv) as write):
+        assert main(argv) == 0
+    assert [len(call.args[1]) for call in write.call_args_list] == [2, 2, 2, 2]
 
 
 def test_captures_sharing_a_stem_are_refused_before_any_read(
@@ -1226,41 +1245,123 @@ def test_analyze_refuses_an_output_that_is_one_of_its_inputs(
 _PARENT_PID = os.getpid()
 
 
-def _exit_in_a_worker(sample_period, tables):
-    """write_series_csv, except that a worker process dies instead."""
+def _exit_in_a_helper(sample_period, tables):
+    """write_series_csv, except that a helper process exits without a word instead."""
     if os.getpid() != _PARENT_PID:
         os._exit(3)
     write_series_csv(sample_period, tables)
 
 
-def _kill_the_workers_first(analyze):
-    """*analyze*, after killing this process's idle worker processes."""
-    def wrapper(*args):
-        for worker in multiprocessing.active_children():
-            worker.kill()
-            # The pool's thread may reap the worker before join() can, and
-            # is_alive() then stays true; the sentinel shows the exit either way.
-            assert multiprocessing.connection.wait([worker.sentinel], timeout=30)
-        return analyze(*args)
-    return wrapper
+def _killed_in_a_helper(sample_period, tables):
+    """write_series_csv, except that a helper process is killed by a signal instead."""
+    if os.getpid() != _PARENT_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    write_series_csv(sample_period, tables)
 
 
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
-@pytest.mark.parametrize("when", ["writing", "idle"])
-def test_a_worker_that_dies_ends_in_one_line(workdir, second_capture, tmp_path, capsys, when):
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("death", [_exit_in_a_helper, _killed_in_a_helper],
+                         ids=["writing", "killed"])
+def test_a_worker_that_dies_ends_in_one_line(workdir, second_capture, tmp_path, capsys, death):
     out = tmp_path / "out"
     argv = ["analyze", str(workdir.sample), str(second_capture), "--out", str(out)]
-    death = (mock.patch("powertrace.cli.write_series_csv", _exit_in_a_worker) if when == "writing"
-             else mock.patch("powertrace.cli._analyze", _kill_the_workers_first(cli._analyze)))
-    with mock.patch("powertrace.cli.usable_cpus", return_value=2), death:
+    with (mock.patch("powertrace.cli.usable_cpus", return_value=2),
+          mock.patch("powertrace.cli.write_series_csv", death)):
         assert main(argv) == 1
-    # The pool is given up; the next capture's files are written in-process.
+    # The helpers are given up; the next capture's files are written in-process.
     assert capsys.readouterr().err.splitlines() == [
         f"powertrace: {workdir.sample}: a plot-writing worker process ended abruptly",
         _note(second_capture),
     ]
+    _no_child_left()
     alone = _analyzed_alone(second_capture, tmp_path / "alone")
     assert {name: (out / name).read_bytes() for name in alone} == alone
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_plot_helper_that_cannot_be_forked_leaves_its_share_in_process(
+    workdir, second_capture, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    argv = ["analyze", str(workdir.sample), str(second_capture), "--out", str(out)]
+    no_process = BlockingIOError(errno.EAGAIN, "no process to spare")
+    with (mock.patch("powertrace.cli.usable_cpus", return_value=2),
+          mock.patch("powertrace.cli.fork_helper", side_effect=no_process) as fork):
+        assert main(argv) == 0
+    assert fork.call_count == 4  # two shares per capture
+    assert capsys.readouterr().err.splitlines() == [_note(workdir.sample), _note(second_capture)]
+    for sample in (workdir.sample, second_capture):
+        alone = _analyzed_alone(sample, tmp_path / f"alone-{sample.stem}")
+        assert {name: (out / name).read_bytes() for name in alone} == alone
+
+
+@contextlib.contextmanager
+def _cpus(count: int):
+    """analyze on *count* usable CPUs. The reader counts only the threads
+    started since, plus this one, so that pytest's own threads do not keep
+    it from forking. Yields a mock counting the reads' fork_helper calls."""
+    before = set(threading.enumerate())
+    with (mock.patch.object(os, "sched_getaffinity", return_value=set(range(count)), create=True),
+          mock.patch.object(ingest.threading, "active_count",
+                            lambda: 1 + len(set(threading.enumerate()) - before)),
+          mock.patch.object(ingest, "fork_helper", wraps=ingest.fork_helper) as read_forks):
+        yield read_forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("failure", [None, "bad capture", "exception"])
+def test_no_helper_outlives_analyze(workdir, second_capture, tmp_path, failure):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(SAMPLE_HEADER + "\n", encoding="ascii")
+    manifest_path_for(bad).write_bytes(manifest_path_for(workdir.sample).read_bytes())
+    captures = [workdir.sample, *([bad] if failure == "bad capture" else []), second_capture]
+    argv = ["analyze", *map(str, captures), "--out", str(tmp_path / "out")]
+    payload = cli._analysis_payload
+
+    def failing_payload(analyzed):
+        if failure == "exception" and analyzed.run_id != workdir.sample.stem:
+            raise RuntimeError("not a PowerTraceError")  # while the first capture's helpers run
+        return payload(analyzed)
+
+    with _cpus(2) as read_forks, mock.patch("powertrace.cli._analysis_payload", failing_payload):
+        if failure == "exception":
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == (failure is not None)
+    # The first capture's read forks a helper. The bad capture's failure
+    # reaps the plot helpers, so the last read forks one too.
+    assert read_forks.call_count == (2 if failure == "bad capture" else 1)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("cpus, forks_at_each_read", [(2, [1, 0]), (6, [1, 1])],
+                         ids=["two_cpus", "six_cpus"])
+def test_analyze_starts_no_thread_and_its_reads_fork_helpers(
+    workdir, second_capture, tmp_path, cpus, forks_at_each_read
+):
+    # Each 21,000-row capture fills two parts. The second is read while the
+    # first's plot helpers hold min(cpus, 4) CPUs: none are left of two,
+    # and it is parsed in one part; two are left of six.
+    before = set(threading.enumerate())
+    read = cli._read_capture
+    started_at_each_read, forks = [], []
+    argv = ["analyze", str(workdir.sample), str(second_capture), "--out", str(tmp_path)]
+    with _cpus(cpus) as read_forks:
+        def recording_read(*args):
+            started_at_each_read.append(set(threading.enumerate()) - before)
+            forks_before = read_forks.call_count
+            result = read(*args)
+            forks.append(read_forks.call_count - forks_before)
+            return result
+
+        with mock.patch("powertrace.cli._read_capture", recording_read):
+            assert main(argv) == 0
+    assert started_at_each_read == [set(), set()]
+    assert set(threading.enumerate()) == before
+    assert forks == forks_at_each_read
+    _no_child_left()
 
 
 def _tables_alive_at_each_read(argv: list[str]) -> list[int]:

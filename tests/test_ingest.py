@@ -32,6 +32,7 @@ from powertrace import (
     generate_run,
     ingest,
     manifest_path_for,
+    model,
     quantize,
     read_capture,
     write_capture,
@@ -519,6 +520,28 @@ def test_level_reuse_formats_a_level_first_seen_in_the_last_block(tmp_path):
     _write_column(tmp_path, column)
 
 
+def test_capture_levels_are_indexed_directly_unless_a_block_spreads_wide(tmp_path):
+    # The first block holds -0.0 and 0.0 (one ADC code, two texts) beside
+    # two other levels; the second spans 8 V of a 24-bit ADC, far more than
+    # 8 codes per row, and only it is ranked by np.unique.
+    column = np.zeros(2 * CHUNK)
+    column[:CHUNK:2] = -1e-9
+    column[1:CHUNK:4] = 0.01
+    column[3:CHUNK:8] = -0.02
+    column[CHUNK:] = np.linspace(-4.0, 4.0, CHUNK)
+    samples = np.ones((len(column), 2 * len(RAIL_ORDER)))
+    samples[:, 1] = column
+    run, cal = CaptureRun("rand", "rand", 1, samples), CalibrationConfig(adc_bits=24)
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        sample_path, _ = write_capture(run, cal, tmp_path)
+    assert unique.call_count == 1
+    assert sample_path.read_bytes() == _reference_csv(
+        SAMPLE_HEADER, run.sample_period, _quantized_columns(run, "engineering", cal)
+    )
+    text = sample_path.read_text()
+    assert ",-0.0," in text and ",0.0," in text
+
+
 # Blocks and windows small enough that short columns cross several window
 # edges, and large enough that a window's text outweighs the 8 KiB a text
 # file buffers before its first flush.
@@ -767,6 +790,7 @@ def _parts(cpus: int, part_rows: int = 1):
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert not model._LIVE_HELPERS  # so later reads count every CPU
 
 
 def test_read_capture_in_parts_allocates_only_its_own_part(tmp_path):

@@ -134,26 +134,26 @@ def test_traced_names_resolve_and_a_replacement_is_the_one_called(round_trip):
     }
 
 
-POOL_START = r"""
+PLOT_FORKS = r"""
 import json, sys
 import powertrace.cli as cli
-at_pool_start = []
-start_pool = cli._PlotWriter.__init__
+at_fork = []
+fork = cli.fork_helper
 
-def recording(self):
-    at_pool_start.append(["powertrace.ingest" in sys.modules, "numpy" in sys.modules])
-    start_pool(self)
+def recording(work):
+    at_fork.append(["powertrace.ingest" in sys.modules, "numpy" in sys.modules])
+    return fork(work)
 
-cli._PlotWriter.__init__ = recording
-cli.usable_cpus = lambda: 2  # a pool even on one CPU
+cli.fork_helper = recording
+cli.usable_cpus = lambda: 2  # plot helpers even on one CPU
 code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "at_pool_start": at_pool_start}))
+print(json.dumps({"code": code, "at_fork": at_fork}))
 """
 
 
 def test_analyze_imports_its_stages_before_forking_plot_writers(round_trip):
-    # Forked after the imports, a worker finds write_series_csv loaded; forked
-    # before, each would import numpy and the reader again on its first task.
+    # A plot helper is forked after its capture is analyzed, so it finds
+    # write_series_csv loaded and imports nothing: two helpers per capture.
     analyze = round_trip[1]
-    result = _run_python(POOL_START, json.dumps(analyze))
-    assert result == {"code": 0, "at_pool_start": [[True, True]]}
+    result = _run_python(PLOT_FORKS, json.dumps(analyze))
+    assert result == {"code": 0, "at_fork": [[True, True]] * 4}
