@@ -259,13 +259,14 @@ class _PlotWriter:
     With more than one usable CPU and os.fork, start() forks a helper per
     CPU, up to one per rail, to write a round-robin share of the tables
     while the caller reads the next capture. A helper gets the power
-    arrays through fork, so nothing is pickled, and sends back any error's
-    text through a pipe; while helpers run, usable_cpus() leaves their
-    CPUs out of the next read's parts. Every stage perfbench wraps stays
-    in the calling process. Otherwise, and for a share whose fork fails,
-    the tables are written in-process, in two shares, so that a call holds
-    two columns' text, not four. wait() prints a capture's note or first
-    error, so stderr keeps the order of the captures.
+    arrays through fork, so nothing is pickled, and reports by its exit
+    status alone; while helpers run, usable_cpus() leaves their CPUs out of
+    the next read's parts. Every stage perfbench wraps stays in the calling
+    process. Without helpers the tables are written in-process in two
+    shares, so that a call holds two columns' text, not four. A share whose
+    fork fails is written in-process too, and wait() writes again one whose
+    helper did not exit 0; such a write words any error. wait() prints a
+    capture's note or first error, so stderr keeps the captures' order.
     """
 
     def __init__(self) -> None:
@@ -273,37 +274,30 @@ class _PlotWriter:
         self.helpers = min(cpus, len(RAIL_ORDER)) if cpus > 1 else 0  # per capture
         self.pending: tuple | None = None
 
-    def start(self, capture: Path, sample_period: float, tables: list, note: str) -> None:
-        """Begin writing *capture*'s *tables*; wait() for the previous capture first."""
+    def start(self, sample_period: float, tables: list, note: str) -> None:
+        """Begin writing a capture's *tables*; wait() for the previous capture first."""
         shares = max(self.helpers, 2)
-        errors, running = [], []  # running: (pid, pipe) of each helper
+        errors, running = [], []  # running: (pid, share) of each helper
         for share in (tables[i::shares] for i in range(shares)):
             if self.helpers:
-                read_end, write_end = os.pipe()
                 try:
-                    running.append((fork_helper(
-                        lambda: os.write(write_end, _plot_error(sample_period, share).encode())),
-                        read_end))
+                    running.append((fork_helper(lambda: write_series_csv(sample_period, share)),
+                                    share))
                     continue
                 except OSError:  # no process to spare: this share is written here
-                    os.close(read_end)
-                finally:
-                    os.close(write_end)
+                    pass
             errors.append(_plot_error(sample_period, share))
-        self.pending = (capture, note, errors, running)
+        self.pending = (sample_period, note, errors, running)
 
     def wait(self) -> int:
         """Finish the started capture and print its note or first error; returns the exit status."""
         if self.pending is None:
             return 0
-        capture, note, errors, running = self.pending
+        sample_period, note, errors, running = self.pending
         self.pending = None
-        for pid, read_end in running:
-            with open(read_end, "rb") as pipe:  # it ends when the helper does
-                errors.append(pipe.read().decode())
-            if reap_helper(pid):  # killed, or dead without a word
-                self.helpers = 0  # the remaining captures are written in-process
-                errors[-1] = f"{capture}: a plot-writing worker process ended abruptly"
+        for pid, share in running:
+            if reap_helper(pid):  # an error, a signal or any other exit: write it again
+                errors.append(_plot_error(sample_period, share))
         error = next(filter(None, errors), "")
         if error:
             return _fail(error)
@@ -400,7 +394,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             # before this capture's are started.
             status |= plots.wait()
             tables = _plot_tables(analyzed, report_path.parent, sample_path.stem)
-            plots.start(sample_path, analyzed.sample_period, tables,
+            plots.start(analyzed.sample_period, tables,
                         f"analyzed {sample_path}: {len(analyzed.markers)} markers, "
                         f"{len(analyzed.segments)} segments -> {report_path.name}, "
                         f"{len(tables)} plot files")

@@ -4,9 +4,7 @@ A comparison takes a baseline segment (clean machine) and a suspect
 segment (after rootkit installation) on the same rail and decides whether
 power consumption incremented. The verdict rule is median-of-windowed-
 means with a combined absolute/relative threshold; medians keep spikes
-out of the verdict so they can be counted separately. The report types
-and the cross-dataset fold live in report.py, which imports no numpy, and
-are re-exported here.
+out of the verdict so they can be counted separately.
 """
 
 from __future__ import annotations
@@ -19,8 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import AlignmentError, ComparisonError
 from .model import DEFAULT_SAMPLE_PERIOD_S, RAIL_ORDER, EventKind, MachineState, RailKind
 from .power import window_sample_count, windowed_means
-from .report import (COMPARISON_PAIRING, NOISY_KINDS, AggregateCell, AggregateReport, CellResult,
-                     CompareParams, ComparisonKind, ComparisonReport, LagResult, Verdict, aggregate)
+from .report import CellResult, CompareParams, ComparisonKind, ComparisonReport, LagResult, Verdict
 from .segment import EventSegment
 
 # Floor for the rolling MAD so constant regions cannot flag noise-free
@@ -348,14 +345,14 @@ def run_canonical_comparisons(
     for kind in ComparisonKind:
         for rail in RAIL_ORDER:
             series = []
-            for side, pool, (state, event) in zip(
-                ("baseline", "suspect"), (pre_pool, post_pool), COMPARISON_PAIRING[kind]
+            for side, pool, entry in zip(
+                ("baseline", "suspect"), (pre_pool, post_pool), (kind.baseline, kind.suspect)
             ):
-                if (state, event, rail) not in pool:
-                    raise ComparisonError(f"missing {side} segment ({state.wire_name}, "
-                                          f"{event.wire_name}) on rail {rail.wire_name}")
-                series.append(pool[state, event, rail])
+                key = (entry.state, entry.event, rail)
+                if key not in pool:
+                    raise ComparisonError(f"missing {side} segment ({entry.state.wire_name}, "
+                                          f"{entry.event.wire_name}) on rail {rail.wire_name}")
+                series.append(pool[key])
             cell = classify_increment(*series, params, sample_period)
-            reports.append(ComparisonReport(**vars(cell), kind=kind, rail=rail,
-                                            noisy=kind in NOISY_KINDS))
+            reports.append(ComparisonReport(**vars(cell), kind=kind, rail=rail, noisy=kind.noisy))
     return reports

@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import AggregationError, PowerTraceError
-from .model import EventKind, MachineState, RailKind
+from .model import EventKind, MachineState, RailKind, ScheduleEntry
 
 
 @dataclass(frozen=True)
@@ -47,50 +47,28 @@ class MarkerParams:
 
 
 class ComparisonKind(Enum):
-    """The five canonical baseline/suspect pairings."""
+    """The five canonical comparisons, each an (event, suspect state) pair.
 
-    BOOT_PRE_VS_REBOOT_POST = "boot_pre_vs_reboot_post"
-    IDLE_PRE_VS_IDLE_POST = "idle_pre_vs_idle_post"
-    IDLE_PRE_VS_IDLE_POST_REBOOT = "idle_pre_vs_idle_post_reboot"
-    IE_PRE_VS_IE_POST = "ie_pre_vs_ie_post"
-    IE_PRE_VS_IE_POST_REBOOT = "ie_pre_vs_ie_post_reboot"
+    A kind compares the suspect entry (state, event) with the pre-infection
+    entry of the same event; the post-infection BOOT entry is the reboot
+    right after installation. Boot power is dominated by OS startup churn,
+    so a boot kind is noisy and its verdicts deserve less weight downstream.
+    """
+
+    BOOT_PRE_VS_REBOOT_POST = (EventKind.BOOT, MachineState.POST_INFECTION)
+    IDLE_PRE_VS_IDLE_POST = (EventKind.IDLE, MachineState.POST_INFECTION)
+    IDLE_PRE_VS_IDLE_POST_REBOOT = (EventKind.IDLE, MachineState.POST_INFECTION_REBOOT)
+    IE_PRE_VS_IE_POST = (EventKind.OPEN_BROWSER, MachineState.POST_INFECTION)
+    IE_PRE_VS_IE_POST_REBOOT = (EventKind.OPEN_BROWSER, MachineState.POST_INFECTION_REBOOT)
+
+    def __init__(self, event: EventKind, state: MachineState):
+        self.baseline = ScheduleEntry(MachineState.PRE_INFECTION, event)
+        self.suspect = ScheduleEntry(state, event)
+        self.noisy = event is EventKind.BOOT
 
     @property
     def wire_name(self) -> str:
-        return self.value
-
-
-# (baseline (state, event), suspect (state, event)) per comparison kind.
-# The post-infection BOOT entry is the reboot right after installation.
-COMPARISON_PAIRING: dict[
-    ComparisonKind,
-    tuple[tuple[MachineState, EventKind], tuple[MachineState, EventKind]],
-] = {
-    ComparisonKind.BOOT_PRE_VS_REBOOT_POST: (
-        (MachineState.PRE_INFECTION, EventKind.BOOT),
-        (MachineState.POST_INFECTION, EventKind.BOOT),
-    ),
-    ComparisonKind.IDLE_PRE_VS_IDLE_POST: (
-        (MachineState.PRE_INFECTION, EventKind.IDLE),
-        (MachineState.POST_INFECTION, EventKind.IDLE),
-    ),
-    ComparisonKind.IDLE_PRE_VS_IDLE_POST_REBOOT: (
-        (MachineState.PRE_INFECTION, EventKind.IDLE),
-        (MachineState.POST_INFECTION_REBOOT, EventKind.IDLE),
-    ),
-    ComparisonKind.IE_PRE_VS_IE_POST: (
-        (MachineState.PRE_INFECTION, EventKind.OPEN_BROWSER),
-        (MachineState.POST_INFECTION, EventKind.OPEN_BROWSER),
-    ),
-    ComparisonKind.IE_PRE_VS_IE_POST_REBOOT: (
-        (MachineState.PRE_INFECTION, EventKind.OPEN_BROWSER),
-        (MachineState.POST_INFECTION_REBOOT, EventKind.OPEN_BROWSER),
-    ),
-}
-
-# Boot power is dominated by OS startup churn, so boot verdicts carry a
-# noisy flag and deserve less weight downstream.
-NOISY_KINDS = frozenset({ComparisonKind.BOOT_PRE_VS_REBOOT_POST})
+        return self.name.lower()
 
 
 class Verdict(Enum):
@@ -145,11 +123,11 @@ class CellResult:
 
 @dataclass(frozen=True)
 class ComparisonReport(CellResult):
-    """A cell result labeled with its pairing and rail; noisy marks a kind in NOISY_KINDS."""
+    """A cell result labeled with its kind and rail; noisy is the kind's flag."""
 
     kind: ComparisonKind
     rail: RailKind
-    noisy: bool = False
+    noisy: bool
 
 
 @dataclass(frozen=True)

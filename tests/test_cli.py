@@ -1262,20 +1262,20 @@ def _killed_in_a_helper(sample_period, tables):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.parametrize("death", [_exit_in_a_helper, _killed_in_a_helper],
                          ids=["writing", "killed"])
-def test_a_worker_that_dies_ends_in_one_line(workdir, second_capture, tmp_path, capsys, death):
+def test_a_plot_helper_that_dies_has_its_share_written_in_process(
+    workdir, second_capture, tmp_path, capsys, death
+):
     out = tmp_path / "out"
     argv = ["analyze", str(workdir.sample), str(second_capture), "--out", str(out)]
     with (mock.patch("powertrace.cli.usable_cpus", return_value=2),
           mock.patch("powertrace.cli.write_series_csv", death)):
-        assert main(argv) == 1
-    # The helpers are given up; the next capture's files are written in-process.
-    assert capsys.readouterr().err.splitlines() == [
-        f"powertrace: {workdir.sample}: a plot-writing worker process ended abruptly",
-        _note(second_capture),
-    ]
+        assert main(argv) == 0
+    # Every helper dies; each share is written again, in-process, after it is reaped.
+    assert capsys.readouterr().err.splitlines() == [_note(workdir.sample), _note(second_capture)]
     _no_child_left()
-    alone = _analyzed_alone(second_capture, tmp_path / "alone")
-    assert {name: (out / name).read_bytes() for name in alone} == alone
+    for sample in (workdir.sample, second_capture):
+        alone = _analyzed_alone(sample, tmp_path / f"alone-{sample.stem}")
+        assert {name: (out / name).read_bytes() for name in alone} == alone
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

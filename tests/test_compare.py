@@ -16,12 +16,14 @@ from powertrace import (
     ComparisonError,
     ComparisonKind,
     ComparisonReport,
+    DEFAULT_SCHEDULE,
     EventKind,
     InfectionEffect,
     MachineState,
     RAIL_ORDER,
     RailKind,
     ScenarioConfig,
+    ScheduleEntry,
     Verdict,
     aggregate,
     align,
@@ -33,6 +35,7 @@ from powertrace import (
 )
 from powertrace import compare
 from powertrace.compare import _pearson, _rolling_median_mad
+from powertrace.report import AggregateCell, AggregateReport
 
 PERIOD = 0.010
 
@@ -634,6 +637,17 @@ def test_canonical_comparisons_cover_five_kinds_by_four_rails():
     for report in reports:
         expect_noisy = report.kind is ComparisonKind.BOOT_PRE_VS_REBOOT_POST
         assert report.noisy == expect_noisy
+    # Each kind compares a post-infection or post-reboot entry with the
+    # pre-infection entry of its event, and only the boot kind is noisy.
+    assert [kind.wire_name for kind in ComparisonKind] == [
+        "boot_pre_vs_reboot_post", "idle_pre_vs_idle_post", "idle_pre_vs_idle_post_reboot",
+        "ie_pre_vs_ie_post", "ie_pre_vs_ie_post_reboot",
+    ]
+    suspects = [e for e in DEFAULT_SCHEDULE if e.state is not MachineState.PRE_INFECTION]
+    for kind in ComparisonKind:
+        assert kind.baseline == ScheduleEntry(MachineState.PRE_INFECTION, kind.suspect.event)
+        assert kind.suspect in suspects
+        assert kind.noisy == (kind is ComparisonKind.BOOT_PRE_VS_REBOOT_POST)
 
 
 def test_canonical_comparisons_clean_run_yields_no_increments():
@@ -686,6 +700,7 @@ def _fake_report(kind, rail, verdict):
         baseline_spikes=0,
         suspect_spikes=0,
         verdict=verdict,
+        noisy=kind.noisy,
     )
 
 
@@ -796,8 +811,8 @@ def _enum_keyed_aggregate(dataset_reports):
                 f"{len(coverage)} cells as dataset 0"
             )
     n = len(dataset_reports)
-    return compare.AggregateReport(cells=tuple(
-        compare.AggregateCell(rail=rail, kind=kind, n_datasets=n, n_increment=count)
+    return AggregateReport(cells=tuple(
+        AggregateCell(rail=rail, kind=kind, n_datasets=n, n_increment=count)
         for (rail, kind), count in tallies.items()
     ))
 
